@@ -7,7 +7,7 @@ use dts_core::prelude::*;
 use dts_flowshop::johnson::johnson_makespan;
 use dts_heuristics::{
     batch::{run_heuristic_batched, BatchConfig},
-    best_in_category, Heuristic, HeuristicCategory,
+    run_heuristic, Heuristic, HeuristicCategory,
 };
 use dts_milp::lp_k_sweep;
 use serde::{Deserialize, Serialize};
@@ -87,20 +87,14 @@ pub fn best_variant_experiment(
             let instance = trace.to_instance_scaled(factor)?;
             let omim = johnson_makespan(&instance);
             for category in HeuristicCategory::ALL {
-                let best = match batch {
-                    None => best_in_category(&instance, category)?,
-                    Some(cfg) => {
-                        let mut best = Time::MAX;
-                        for heuristic in Heuristic::in_category(category) {
-                            let makespan = run_heuristic_batched(&instance, heuristic, cfg)?
-                                .makespan(&instance);
-                            if makespan < best {
-                                best = makespan;
-                            }
-                        }
-                        best
-                    }
-                };
+                let mut best = Time::MAX;
+                for heuristic in Heuristic::in_category(category) {
+                    let schedule = match batch {
+                        None => run_heuristic(&instance, heuristic)?,
+                        Some(cfg) => run_heuristic_batched(&instance, heuristic, cfg)?,
+                    };
+                    best = best.min(schedule.makespan(&instance));
+                }
                 per_category
                     .entry(category.to_string())
                     .or_default()
@@ -137,7 +131,7 @@ pub fn lp_comparison_experiment(
         let instance = trace.to_instance_scaled(factor)?;
         out.push(("OMIM".to_string(), factor, 1.0));
         for &heuristic in heuristics {
-            let makespan = dts_heuristics::run_heuristic(&instance, heuristic)?.makespan(&instance);
+            let makespan = run_heuristic(&instance, heuristic)?.makespan(&instance);
             out.push((heuristic.name().to_string(), factor, makespan.ratio(omim)));
         }
         // The sweep solves the four window sizes on parallel workers; rows

@@ -8,9 +8,8 @@ use dts_bench::bench_traces;
 use dts_chem::Kernel;
 use dts_core::simulate::simulate_sequence;
 use dts_flowshop::johnson::johnson_makespan;
-use dts_heuristics::corrected::{run_corrected_with_order, CorrectionCriterion};
 use dts_heuristics::static_order::static_order;
-use dts_heuristics::Heuristic;
+use dts_heuristics::{run_decisions, Heuristic, SelectionCriterion};
 
 fn report() {
     let trace = bench_traces(Kernel::Ccsd).into_iter().next().unwrap();
@@ -30,13 +29,17 @@ fn report() {
         Heuristic::BP,
     ] {
         let order = static_order(&instance, h).unwrap();
-        let plain = simulate_sequence(&instance, &order)
+        let plain = simulate_sequence(&instance, &order, instance.model())
             .unwrap()
             .makespan(&instance);
-        let corrected =
-            run_corrected_with_order(&instance, &order, CorrectionCriterion::MaximumAcceleration)
-                .unwrap()
-                .makespan(&instance);
+        let corrected = run_decisions(
+            &instance,
+            Some(&order),
+            SelectionCriterion::MaximumAcceleration,
+            instance.model(),
+        )
+        .unwrap()
+        .makespan(&instance);
         println!(
             "| {} | {:.4} | {:.4} |",
             h.name(),
@@ -53,9 +56,14 @@ fn bench(c: &mut Criterion) {
     let order = static_order(&instance, Heuristic::OOSIM).unwrap();
     c.bench_function("ablation/corrections_on_johnson_order", |b| {
         b.iter(|| {
-            run_corrected_with_order(&instance, &order, CorrectionCriterion::MaximumAcceleration)
-                .unwrap()
-                .makespan(&instance)
+            run_decisions(
+                &instance,
+                Some(&order),
+                SelectionCriterion::MaximumAcceleration,
+                instance.model(),
+            )
+            .unwrap()
+            .makespan(&instance)
         })
     });
 }

@@ -8,12 +8,11 @@
 //! dynamic/corrected decision loops resolve each decision with O(log n)
 //! threshold queries against a memory-indexed candidate structure
 //! (`dts_core::index::CandidateIndex`) instead of scanning every remaining
-//! task, and batched runs solve their batches on parallel workers; this
-//! bench pins both wins (see the Performance section of the README for
-//! recorded numbers). The large tier exists because the ratio query is the
-//! index's hardest case: these instances are tie-heavy (tiny discrete
-//! comm/comp/mem domains) with tight memory, exactly the workload that
-//! degenerates naive max-ratio searches. Set `DTS_BENCH_SCALE_MAX` (tasks,
+//! task; this bench pins that win (see the Performance section of the
+//! README for recorded numbers). The large tier exists because the ratio
+//! query is the index's hardest case: these instances are tie-heavy (tiny
+//! discrete comm/comp/mem domains) with tight memory, exactly the workload
+//! that degenerates naive max-ratio searches. Set `DTS_BENCH_SCALE_MAX` (tasks,
 //! default 1000000) to cap the largest instance attempted.
 //!
 //! Scale benches are inherently noisier than the table replays (allocator
@@ -22,9 +21,7 @@
 
 use criterion::{criterion_group, Criterion};
 use dts_core::instances::random_instance_decoupled_memory;
-use dts_heuristics::{
-    run_heuristic, run_heuristic_batched, run_heuristic_batched_pooled, BatchConfig, Heuristic,
-};
+use dts_heuristics::{run_heuristic, run_heuristic_batched, BatchConfig, Heuristic};
 use dts_milp::{lp_k, LpKConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,8 +95,7 @@ fn bench(c: &mut Criterion) {
             })
         });
         // Batched scheduling (paper batch size 100): the batches are solved
-        // speculatively in parallel and stitched; the single-worker variant
-        // is kept as the reference point for the parallel speedup.
+        // one after the other and stitched.
         let config = BatchConfig { batch_size: 100 };
         c.bench_function(&format!("scale/batched_OOLCMR_{n_tasks}tasks"), |b| {
             b.iter(|| {
@@ -108,16 +104,6 @@ fn bench(c: &mut Criterion) {
                     .makespan(&instance)
             })
         });
-        c.bench_function(
-            &format!("scale/batched_OOLCMR_1worker_{n_tasks}tasks"),
-            |b| {
-                b.iter(|| {
-                    run_heuristic_batched_pooled(&instance, Heuristic::OOLCMR, config, 1)
-                        .expect("batched heuristic runs")
-                        .makespan(&instance)
-                })
-            },
-        );
     }
 }
 

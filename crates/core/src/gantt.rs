@@ -115,7 +115,7 @@ mod tests {
             .task_units("B", 1.0, 3.0, 1)
             .build()
             .unwrap();
-        let sched = simulate_sequence(&inst, &[TaskId(1), TaskId(0)]).unwrap();
+        let sched = simulate_sequence(&inst, &[TaskId(1), TaskId(0)], inst.model()).unwrap();
         let text = render_default(&inst, &sched);
         assert!(text.contains("comm |"));
         assert!(text.contains("comp |"));
@@ -131,7 +131,7 @@ mod tests {
             .task_units("B", 1.0, 3.0, 1)
             .build()
             .unwrap();
-        let sched = simulate_sequence(&inst, &[TaskId(1), TaskId(0)]).unwrap();
+        let sched = simulate_sequence(&inst, &[TaskId(1), TaskId(0)], inst.model()).unwrap();
         let text = render(
             &inst,
             &sched,

@@ -263,7 +263,7 @@ mod tests {
         fn simulator_schedules_are_accepted_on_all_tables() {
             for inst in tables() {
                 let order = inst.task_ids();
-                let sched = simulate_sequence(&inst, &order).unwrap();
+                let sched = simulate_sequence(&inst, &order, inst.model()).unwrap();
                 assert!(
                     is_feasible(&inst, &sched),
                     "{}: {:?}",
@@ -278,7 +278,7 @@ mod tests {
             for inst in tables() {
                 let mut order = inst.task_ids();
                 order.reverse();
-                let sched = simulate_sequence(&inst, &order).unwrap();
+                let sched = simulate_sequence(&inst, &order, inst.model()).unwrap();
                 assert!(
                     is_feasible(&inst, &sched),
                     "{}: {:?}",
@@ -292,7 +292,7 @@ mod tests {
         fn link_overlap_is_rejected_on_all_tables() {
             for inst in tables() {
                 let order = inst.task_ids();
-                let sched = simulate_sequence(&inst, &order).unwrap();
+                let sched = simulate_sequence(&inst, &order, inst.model()).unwrap();
                 // Pull the last task's transfer back to time zero: it now
                 // shares the link with the first (nonzero) transfer.
                 let idx = sched.len() - 1;
@@ -312,7 +312,7 @@ mod tests {
         fn cpu_overlap_is_rejected_on_all_tables() {
             for inst in tables() {
                 let order = inst.task_ids();
-                let sched = simulate_sequence(&inst, &order).unwrap();
+                let sched = simulate_sequence(&inst, &order, inst.model()).unwrap();
                 // Start the last computation at the same instant as the
                 // first one; both have nonzero durations on every table.
                 let idx = sched.len() - 1;
@@ -339,7 +339,7 @@ mod tests {
             // authors so that memory is the binding constraint).
             for inst in tables() {
                 let order = inst.task_ids();
-                let infinite = simulate_sequence_infinite(&inst, &order).unwrap();
+                let infinite = simulate_sequence_infinite(&inst, &order, inst.model()).unwrap();
                 let violations = validate(&inst, &infinite);
                 assert!(
                     violations
@@ -357,7 +357,7 @@ mod tests {
             // makespan 15.
             let inst = table3();
             let order = [TaskId(1), TaskId(2), TaskId(0), TaskId(3)];
-            let sched = simulate_sequence(&inst, &order).unwrap();
+            let sched = simulate_sequence(&inst, &order, inst.model()).unwrap();
             assert!(is_feasible(&inst, &sched));
             assert_eq!(sched.makespan(&inst), Time::units_int(15));
         }

@@ -92,10 +92,7 @@ pub mod prelude {
     pub use crate::metrics::ScheduleMetrics;
     pub use crate::perfmodel::{ComputeBackend, CostModel, CostModelSpec, LinkClass};
     pub use crate::schedule::{Schedule, ScheduleEntry};
-    pub use crate::simulate::{
-        simulate_sequence, simulate_sequence_infinite, simulate_sequence_infinite_with,
-        simulate_sequence_with,
-    };
+    pub use crate::simulate::{simulate_sequence, simulate_sequence_infinite};
     pub use crate::task::{Task, TaskId, TaskIntensity};
     pub use crate::time::Time;
 }

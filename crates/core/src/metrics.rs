@@ -145,7 +145,7 @@ mod tests {
     fn metrics_on_omim_schedule() {
         let inst = table3();
         let order = [TaskId(1), TaskId(2), TaskId(0), TaskId(3)];
-        let sched = simulate_sequence_infinite(&inst, &order).unwrap();
+        let sched = simulate_sequence_infinite(&inst, &order, inst.model()).unwrap();
         let m = ScheduleMetrics::of(&inst, &sched);
         assert_eq!(m.makespan, Time::units_int(12));
         assert_eq!(m.comm_busy, Time::units_int(10));
@@ -163,7 +163,7 @@ mod tests {
     fn ratio_to_reference() {
         let inst = table3();
         let order = [TaskId(1), TaskId(2), TaskId(0), TaskId(3)];
-        let sched = simulate_sequence(&inst, &order).unwrap();
+        let sched = simulate_sequence(&inst, &order, inst.model()).unwrap();
         let m = ScheduleMetrics::of(&inst, &sched);
         assert_eq!(m.makespan, Time::units_int(15));
         assert!((m.ratio_to(Time::units_int(12)) - 1.25).abs() < 1e-12);
@@ -190,7 +190,7 @@ mod tests {
             .build()
             .unwrap();
         // Capacity 1 forces fully sequential execution.
-        let sched = simulate_sequence(&inst, &[TaskId(0), TaskId(1)]).unwrap();
+        let sched = simulate_sequence(&inst, &[TaskId(0), TaskId(1)], inst.model()).unwrap();
         let m = ScheduleMetrics::of(&inst, &sched);
         assert_eq!(m.overlap, Time::ZERO);
         assert_eq!(m.makespan, Time::units_int(10));

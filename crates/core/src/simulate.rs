@@ -13,9 +13,9 @@
 //!   been released by finished computations. This is the executor used by
 //!   all the static heuristics of Section 4.1.
 //!
-//! Both executors honor the instance's [`ExecutionModel`] (the paper's
-//! half-duplex [`ExecutionModel::Explicit`] unless one was attached), and
-//! both have `_with` variants taking the model explicitly. Under the
+//! Both executors take the [`ExecutionModel`] explicitly; callers that
+//! follow the instance pass [`Instance::model`] (the paper's half-duplex
+//! [`ExecutionModel::Explicit`] unless one was attached). Under the
 //! multi-channel models (duplex, streams) transfers are still *issued* in
 //! sequence order — transfer `i + 1` never starts before transfer `i` —
 //! but may proceed concurrently on different channels; under the implicit
@@ -108,16 +108,10 @@ pub fn check_permutation(instance: &Instance, order: &[TaskId]) -> Result<()> {
 }
 
 /// Executes `order` on both resources assuming unlimited memory
-/// (Algorithm 1, lines 5–13) under the instance's execution model. The
-/// resulting makespan for the Johnson order under the explicit model is
-/// the `OMIM` lower bound used throughout the paper's evaluation.
-pub fn simulate_sequence_infinite(instance: &Instance, order: &[TaskId]) -> Result<Schedule> {
-    simulate_sequence_infinite_with(instance, order, instance.model())
-}
-
-/// [`simulate_sequence_infinite`] under an explicit [`ExecutionModel`]
-/// (overriding whatever the instance carries).
-pub fn simulate_sequence_infinite_with(
+/// (Algorithm 1, lines 5–13) under `model`. The resulting makespan for the
+/// Johnson order under the explicit model is the `OMIM` lower bound used
+/// throughout the paper's evaluation.
+pub fn simulate_sequence_infinite(
     instance: &Instance,
     order: &[TaskId],
     model: ExecutionModel,
@@ -125,6 +119,8 @@ pub fn simulate_sequence_infinite_with(
     check_permutation(instance, order)?;
     model.validate()?;
     let mut schedule = Schedule::with_capacity(order.len());
+    // The explicit model's single link needs no channel bookkeeping; this
+    // path computes every OMIM lower bound.
     if model.is_explicit() {
         let mut link_free = Time::ZERO;
         let mut cpu_free = Time::ZERO;
@@ -175,7 +171,8 @@ pub fn simulate_sequence_infinite_with(
     Ok(schedule)
 }
 
-/// Executes `order` on both resources under the instance's memory capacity.
+/// Executes `order` on both resources under the instance's memory capacity
+/// and `model`.
 ///
 /// The executor keeps the set of *active* tasks (communication started,
 /// computation not yet finished). The next task's communication starts at the
@@ -193,17 +190,13 @@ pub fn simulate_sequence_infinite_with(
 /// [`CoreError::UnknownTask`] for an invalid order, and
 /// [`CoreError::TaskExceedsCapacity`] if a task can never fit in the
 /// instance's memory (possible only for instances that bypassed
-/// [`Instance::new`] validation, e.g. deserialized ones).
-pub fn simulate_sequence(instance: &Instance, order: &[TaskId]) -> Result<Schedule> {
-    simulate_sequence_with(instance, order, instance.model())
-}
-
-/// [`simulate_sequence`] under an explicit [`ExecutionModel`] (overriding
-/// whatever the instance carries). Memory semantics are shared by all
-/// models — a task holds its memory from the start of its (fused or
-/// plain) transfer to the end of its computation, and a transfer waits
-/// for releases until it fits.
-pub fn simulate_sequence_with(
+/// [`Instance::new`] validation, e.g. deserialized ones), and
+/// [`CoreError::InvalidExecutionModel`] for an invalid `model`.
+///
+/// Memory semantics are shared by all models: a task holds its memory from
+/// the start of its (fused or plain) transfer to the end of its
+/// computation, and a transfer waits for releases until it fits.
+pub fn simulate_sequence(
     instance: &Instance,
     order: &[TaskId],
     model: ExecutionModel,
@@ -296,18 +289,6 @@ pub fn simulate_sequence_with(
     Ok(schedule)
 }
 
-/// Makespan of [`simulate_sequence`] without materializing the schedule.
-/// Convenience for solvers that evaluate many orders.
-pub fn sequence_makespan(instance: &Instance, order: &[TaskId]) -> Result<Time> {
-    Ok(simulate_sequence(instance, order)?.makespan(instance))
-}
-
-/// Makespan of [`simulate_sequence_infinite`] without materializing the
-/// schedule.
-pub fn sequence_makespan_infinite(instance: &Instance, order: &[TaskId]) -> Result<Time> {
-    Ok(simulate_sequence_infinite(instance, order)?.makespan(instance))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,7 +316,7 @@ mod tests {
     fn infinite_memory_johnson_order_matches_fig4a() {
         // Johnson order for Table 3 is B, C, A, D with OMIM = 12 (Fig. 4a).
         let inst = table3();
-        let sched = simulate_sequence_infinite(&inst, &ids(&[1, 2, 0, 3])).unwrap();
+        let sched = simulate_sequence_infinite(&inst, &ids(&[1, 2, 0, 3]), inst.model()).unwrap();
         assert_eq!(sched.makespan(&inst), Time::units_int(12));
     }
 
@@ -343,7 +324,7 @@ mod tests {
     fn constrained_oosim_matches_fig4b() {
         // Same order under capacity 6 gives makespan 15 (Fig. 4b, OOSIM).
         let inst = table3();
-        let sched = simulate_sequence(&inst, &ids(&[1, 2, 0, 3])).unwrap();
+        let sched = simulate_sequence(&inst, &ids(&[1, 2, 0, 3]), inst.model()).unwrap();
         assert_eq!(sched.makespan(&inst), Time::units_int(15));
         assert!(is_feasible(&inst, &sched));
         // A's transfer is delayed until C's computation releases memory at 9.
@@ -355,7 +336,7 @@ mod tests {
     fn constrained_iocms_matches_fig4b() {
         // IOCMS order B, D, A, C gives makespan 16 (Fig. 4b).
         let inst = table3();
-        let sched = simulate_sequence(&inst, &ids(&[1, 3, 0, 2])).unwrap();
+        let sched = simulate_sequence(&inst, &ids(&[1, 3, 0, 2]), inst.model()).unwrap();
         assert_eq!(sched.makespan(&inst), Time::units_int(16));
         assert!(is_feasible(&inst, &sched));
     }
@@ -364,7 +345,7 @@ mod tests {
     fn constrained_docps_matches_fig4b() {
         // DOCPS order C, B, A, D gives makespan 14 (Fig. 4b).
         let inst = table3();
-        let sched = simulate_sequence(&inst, &ids(&[2, 1, 0, 3])).unwrap();
+        let sched = simulate_sequence(&inst, &ids(&[2, 1, 0, 3]), inst.model()).unwrap();
         assert_eq!(sched.makespan(&inst), Time::units_int(14));
     }
 
@@ -372,7 +353,7 @@ mod tests {
     fn constrained_doccs_matches_fig4b() {
         // DOCCS order C, A, B, D gives makespan 17 (Fig. 4b).
         let inst = table3();
-        let sched = simulate_sequence(&inst, &ids(&[2, 0, 1, 3])).unwrap();
+        let sched = simulate_sequence(&inst, &ids(&[2, 0, 1, 3]), inst.model()).unwrap();
         assert_eq!(sched.makespan(&inst), Time::units_int(17));
     }
 
@@ -384,8 +365,12 @@ mod tests {
         let mut order = inst.task_ids();
         for _ in 0..50 {
             order.shuffle(&mut rng);
-            let finite = sequence_makespan(&inst, &order).unwrap();
-            let infinite = sequence_makespan_infinite(&inst, &order).unwrap();
+            let finite = simulate_sequence(&inst, &order, inst.model())
+                .unwrap()
+                .makespan(&inst);
+            let infinite = simulate_sequence_infinite(&inst, &order, inst.model())
+                .unwrap()
+                .makespan(&inst);
             assert!(finite >= infinite);
         }
     }
@@ -398,7 +383,7 @@ mod tests {
         let mut order = inst.task_ids();
         for _ in 0..50 {
             order.shuffle(&mut rng);
-            let sched = simulate_sequence(&inst, &order).unwrap();
+            let sched = simulate_sequence(&inst, &order, inst.model()).unwrap();
             assert!(is_feasible(&inst, &sched), "{:?}", order);
             assert_eq!(sched.comm_order(), order);
             assert!(sched.is_permutation_schedule());
@@ -409,15 +394,15 @@ mod tests {
     fn bad_sequences_rejected() {
         let inst = table3();
         assert!(matches!(
-            simulate_sequence(&inst, &ids(&[0, 1])),
+            simulate_sequence(&inst, &ids(&[0, 1]), inst.model()),
             Err(CoreError::NotAPermutation { .. })
         ));
         assert!(matches!(
-            simulate_sequence(&inst, &ids(&[0, 1, 2, 2])),
+            simulate_sequence(&inst, &ids(&[0, 1, 2, 2]), inst.model()),
             Err(CoreError::DuplicateTask(TaskId(2)))
         ));
         assert!(matches!(
-            simulate_sequence(&inst, &ids(&[0, 1, 2, 9])),
+            simulate_sequence(&inst, &ids(&[0, 1, 2, 9]), inst.model()),
             Err(CoreError::UnknownTask(_))
         ));
     }
@@ -429,19 +414,11 @@ mod tests {
         let inst = table3();
         let dup = ids(&[0, 1, 1, 3]);
         assert_eq!(
-            simulate_sequence(&inst, &dup).unwrap_err(),
+            simulate_sequence(&inst, &dup, inst.model()).unwrap_err(),
             CoreError::DuplicateTask(TaskId(1))
         );
         assert_eq!(
-            simulate_sequence_infinite(&inst, &dup).unwrap_err(),
-            CoreError::DuplicateTask(TaskId(1))
-        );
-        assert_eq!(
-            sequence_makespan(&inst, &dup).unwrap_err(),
-            CoreError::DuplicateTask(TaskId(1))
-        );
-        assert_eq!(
-            sequence_makespan_infinite(&inst, &dup).unwrap_err(),
+            simulate_sequence_infinite(&inst, &dup, inst.model()).unwrap_err(),
             CoreError::DuplicateTask(TaskId(1))
         );
         assert_eq!(
@@ -467,21 +444,14 @@ mod tests {
         let inst: Instance = serde_json::from_str(json).unwrap();
         let order = inst.task_ids();
         assert_eq!(
-            simulate_sequence(&inst, &order).unwrap_err(),
-            CoreError::TaskExceedsCapacity {
-                task: TaskId(1),
-                name: "huge".into(),
-            }
-        );
-        assert_eq!(
-            sequence_makespan(&inst, &order).unwrap_err(),
+            simulate_sequence(&inst, &order, inst.model()).unwrap_err(),
             CoreError::TaskExceedsCapacity {
                 task: TaskId(1),
                 name: "huge".into(),
             }
         );
         // The infinite-memory executor ignores the capacity by design.
-        assert!(simulate_sequence_infinite(&inst, &order).is_ok());
+        assert!(simulate_sequence_infinite(&inst, &order, inst.model()).is_ok());
     }
 
     #[test]
@@ -504,7 +474,7 @@ mod tests {
             }}"#
         );
         let inst: Instance = serde_json::from_str(&json).unwrap();
-        let sched = simulate_sequence(&inst, &inst.task_ids()).unwrap();
+        let sched = simulate_sequence(&inst, &inst.task_ids(), inst.model()).unwrap();
         assert_eq!(sched.len(), 3);
         // b must wait for a's computation to release the whole memory.
         assert_eq!(
@@ -527,14 +497,13 @@ mod tests {
         let mut order = inst.task_ids();
         for _ in 0..20 {
             order.shuffle(&mut rng);
-            let explicit = simulate_sequence_with(&inst, &order, ExecutionModel::Explicit).unwrap();
-            let one =
-                simulate_sequence_with(&inst, &order, ExecutionModel::Streams { k: 1 }).unwrap();
+            let explicit = simulate_sequence(&inst, &order, ExecutionModel::Explicit).unwrap();
+            let one = simulate_sequence(&inst, &order, ExecutionModel::Streams { k: 1 }).unwrap();
             assert_eq!(explicit, one);
             let explicit_inf =
-                simulate_sequence_infinite_with(&inst, &order, ExecutionModel::Explicit).unwrap();
+                simulate_sequence_infinite(&inst, &order, ExecutionModel::Explicit).unwrap();
             let one_inf =
-                simulate_sequence_infinite_with(&inst, &order, ExecutionModel::Streams { k: 1 })
+                simulate_sequence_infinite(&inst, &order, ExecutionModel::Streams { k: 1 })
                     .unwrap();
             assert_eq!(explicit_inf, one_inf);
         }
@@ -552,7 +521,7 @@ mod tests {
         // (Fig. 4b, OOSIM).
         let inst = table3();
         let order = ids(&[1, 2, 0, 3]);
-        let sched = simulate_sequence_with(&inst, &order, ExecutionModel::Duplex).unwrap();
+        let sched = simulate_sequence(&inst, &order, ExecutionModel::Duplex).unwrap();
         assert_eq!(sched.makespan(&inst), Time::units_int(14));
         assert_eq!(
             sched.entry(TaskId(2)).unwrap().comm_start,
@@ -566,7 +535,7 @@ mod tests {
             sched.entry(TaskId(3)).unwrap().comm_start,
             Time::units_int(8)
         );
-        let explicit = simulate_sequence(&inst, &order).unwrap();
+        let explicit = simulate_sequence(&inst, &order, inst.model()).unwrap();
         assert_eq!(explicit.makespan(&inst), Time::units_int(15));
         assert!(sched.makespan(&inst) <= explicit.makespan(&inst));
     }
@@ -579,8 +548,7 @@ mod tests {
         // for any order that never waits on memory.
         let inst = table3();
         let sched =
-            simulate_sequence_with(&inst, &ids(&[1, 2, 0, 3]), ExecutionModel::IMPLICIT_FULL)
-                .unwrap();
+            simulate_sequence(&inst, &ids(&[1, 2, 0, 3]), ExecutionModel::IMPLICIT_FULL).unwrap();
         // B [0,3), C [3,7) (B releases at 3), A [7,10), D [10,12).
         assert_eq!(sched.makespan(&inst), Time::units_int(12));
         // Each entry's computation ends when its fused phase does.
@@ -594,32 +562,16 @@ mod tests {
     }
 
     #[test]
-    fn model_carried_by_the_instance_is_honored() {
-        use crate::exec::ExecutionModel;
-        let inst = table3();
-        let duplex_inst = inst.with_model(ExecutionModel::Duplex).unwrap();
-        let order = ids(&[1, 2, 0, 3]);
-        assert_eq!(
-            simulate_sequence(&duplex_inst, &order).unwrap(),
-            simulate_sequence_with(&inst, &order, ExecutionModel::Duplex).unwrap()
-        );
-        assert_eq!(
-            simulate_sequence_infinite(&duplex_inst, &order).unwrap(),
-            simulate_sequence_infinite_with(&inst, &order, ExecutionModel::Duplex).unwrap()
-        );
-    }
-
-    #[test]
     fn invalid_model_rejected_not_panicking() {
         use crate::exec::ExecutionModel;
         let inst = table3();
         let order = inst.task_ids();
         assert!(matches!(
-            simulate_sequence_with(&inst, &order, ExecutionModel::Streams { k: 0 }),
+            simulate_sequence(&inst, &order, ExecutionModel::Streams { k: 0 }),
             Err(CoreError::InvalidExecutionModel(_))
         ));
         assert!(matches!(
-            simulate_sequence_infinite_with(&inst, &order, ExecutionModel::Streams { k: 0 }),
+            simulate_sequence_infinite(&inst, &order, ExecutionModel::Streams { k: 0 }),
             Err(CoreError::InvalidExecutionModel(_))
         ));
     }
@@ -631,7 +583,7 @@ mod tests {
             .task_units("only", 2.0, 3.0, 5)
             .build()
             .unwrap();
-        let sched = simulate_sequence(&inst, &[TaskId(0)]).unwrap();
+        let sched = simulate_sequence(&inst, &[TaskId(0)], inst.model()).unwrap();
         assert_eq!(sched.makespan(&inst), Time::units_int(5));
     }
 }

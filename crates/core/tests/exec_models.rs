@@ -10,7 +10,7 @@
 
 use dts_core::memory::MemoryProfile;
 use dts_core::prelude::*;
-use dts_core::simulate::simulate_sequence_with;
+use dts_core::simulate::simulate_sequence;
 use dts_core::testgen::{self, InstanceSpec};
 use rand::prelude::*;
 
@@ -31,7 +31,7 @@ fn makespan_under(
     let instance = spec.build();
     let order = seeded_order(&instance, order_seed);
     let schedule =
-        simulate_sequence_with(&instance, &order, model).map_err(|e| format!("{model}: {e}"))?;
+        simulate_sequence(&instance, &order, model).map_err(|e| format!("{model}: {e}"))?;
     Ok(schedule.makespan(&instance))
 }
 
@@ -83,10 +83,10 @@ microcheck::property! {
     ) {
         let instance = spec.build();
         let order = seeded_order(&instance, order_seed);
-        let explicit = simulate_sequence_with(&instance, &order, ExecutionModel::Explicit)
+        let explicit = simulate_sequence(&instance, &order, ExecutionModel::Explicit)
             .map_err(|e| e.to_string())?;
         let one_stream =
-            simulate_sequence_with(&instance, &order, ExecutionModel::Streams { k: 1 })
+            simulate_sequence(&instance, &order, ExecutionModel::Streams { k: 1 })
                 .map_err(|e| e.to_string())?;
         microcheck::prop_assert_eq!(explicit.entries(), one_stream.entries());
     }
@@ -111,7 +111,7 @@ microcheck::property! {
                 efficiency: OverlapEfficiency::from_ppm(500_000).expect("half is in range"),
             },
         ] {
-            let schedule = simulate_sequence_with(&instance, &order, model)
+            let schedule = simulate_sequence(&instance, &order, model)
                 .map_err(|e| format!("{model}: {e}"))?;
             microcheck::prop_assert_eq!(schedule.len(), instance.len());
             let profile = MemoryProfile::of_schedule(&instance, &schedule);
@@ -257,10 +257,9 @@ fn finite_and_infinite_executors_agree_when_memory_never_binds() {
             ExecutionModel::Streams { k: 2 },
             ExecutionModel::IMPLICIT_FULL,
         ] {
-            let finite = simulate_sequence_with(&instance, &order, model).unwrap();
+            let finite = simulate_sequence(&instance, &order, model).unwrap();
             let infinite =
-                dts_core::simulate::simulate_sequence_infinite_with(&instance, &order, model)
-                    .unwrap();
+                dts_core::simulate::simulate_sequence_infinite(&instance, &order, model).unwrap();
             assert_eq!(
                 finite.entries(),
                 infinite.entries(),

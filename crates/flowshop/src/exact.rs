@@ -59,7 +59,7 @@ pub fn optimal_same_order(instance: &Instance) -> ExactSolution {
                 .sub_instance(prefix)
                 .expect("prefix tasks belong to the instance");
             let prefix_order: Vec<TaskId> = (0..depth).map(TaskId).collect();
-            let prefix_makespan = simulate_sequence(&sub, &prefix_order)
+            let prefix_makespan = simulate_sequence(&sub, &prefix_order, sub.model())
                 .expect("prefix order is a permutation")
                 .makespan(&sub);
             if prefix_makespan >= *best_makespan {
@@ -67,7 +67,7 @@ pub fn optimal_same_order(instance: &Instance) -> ExactSolution {
             }
         }
         if depth == order.len() {
-            let makespan = simulate_sequence(instance, order)
+            let makespan = simulate_sequence(instance, order, instance.model())
                 .expect("full order is a permutation")
                 .makespan(instance);
             if makespan < *best_makespan {
@@ -84,7 +84,8 @@ pub fn optimal_same_order(instance: &Instance) -> ExactSolution {
     }
     rec(instance, &mut order, 0, &mut best_makespan, &mut best_order);
 
-    let schedule = simulate_sequence(instance, &best_order).expect("best order is a permutation");
+    let schedule = simulate_sequence(instance, &best_order, instance.model())
+        .expect("best order is a permutation");
     let makespan = schedule.makespan(instance);
     ExactSolution { schedule, makespan }
 }
@@ -331,7 +332,9 @@ mod tests {
         for _ in 0..20 {
             let inst = random_instance_decoupled_memory(&mut rng, 6, 1.5);
             let order = inst.task_ids();
-            let a = simulate_sequence(&inst, &order).unwrap().makespan(&inst);
+            let a = simulate_sequence(&inst, &order, inst.model())
+                .unwrap()
+                .makespan(&inst);
             let b = schedule_for_orders(&inst, &order, &order)
                 .unwrap()
                 .makespan(&inst);

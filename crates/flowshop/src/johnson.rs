@@ -36,7 +36,7 @@ pub fn johnson_order(instance: &Instance) -> Vec<TaskId> {
 /// Builds the (infinite-memory) schedule produced by Algorithm 1.
 pub fn johnson_schedule(instance: &Instance) -> Schedule {
     let order = johnson_order(instance);
-    simulate_sequence_infinite(instance, &order)
+    simulate_sequence_infinite(instance, &order, instance.model())
         .expect("johnson_order is a permutation of the instance's tasks")
 }
 
@@ -52,7 +52,6 @@ mod tests {
     use dts_core::instances::{
         random_instance, table2, table3, table4, table5, RandomInstanceConfig,
     };
-    use dts_core::simulate::sequence_makespan_infinite;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -134,7 +133,9 @@ mod tests {
                 let mut best = Time::MAX;
                 let mut perm: Vec<TaskId> = inst.task_ids();
                 permute(&mut perm, 0, &mut |order| {
-                    let m = sequence_makespan_infinite(&inst, order).unwrap();
+                    let m = simulate_sequence_infinite(&inst, order, inst.model())
+                        .unwrap()
+                        .makespan(&inst);
                     if m < best {
                         best = m;
                     }

@@ -5,17 +5,8 @@
 //! tasks and applying each heuristic to the batches in succession; the
 //! makespan is the completion time of the last batch, with batches executed
 //! back to back.
-//!
-//! Because every batch starts from an empty memory and idle resources, the
-//! per-batch schedules do not depend on each other — only their *placement
-//! on the time axis* does. [`run_heuristic_batched`] exploits this: it
-//! solves all batches speculatively in parallel, then stitches the
-//! sub-schedules together sequentially by accumulating each batch's
-//! makespan as the offset of the next, producing the exact schedule a
-//! sequential run builds.
 
 use crate::{run_heuristic, Heuristic};
-use dts_core::pool::run_indexed_pool;
 use dts_core::prelude::*;
 
 /// Configuration of batched execution.
@@ -36,13 +27,9 @@ impl Default for BatchConfig {
 /// resulting global schedule. Batches are scheduled one after the other: the
 /// communications and computations of batch `k + 1` start no earlier than
 /// the completion of batch `k` (the runtime only discovers the next batch
-/// once the current one is done).
-///
-/// The per-batch solves are independent of runtime state, so they run in
-/// parallel (up to the machine's available parallelism) and are stitched
-/// together in batch order afterwards; the schedule is identical to a
-/// sequential run's. Use [`run_heuristic_batched_pooled`] to control the
-/// worker count explicitly.
+/// once the current one is done). Each batch starts from an empty memory
+/// and idle resources, so it is solved on its own and shifted by the
+/// makespan of the batches before it.
 ///
 /// ```
 /// use dts_core::instances::table5;
@@ -61,52 +48,25 @@ impl Default for BatchConfig {
 /// let whole = run_heuristic(&instance, Heuristic::OOLCMR).unwrap();
 /// assert!(batched.makespan(&instance) >= whole.makespan(&instance));
 /// ```
+///
+/// # Errors
+///
+/// Returns [`CoreError::Infeasible`] for a zero batch size, and otherwise
+/// the error of the first batch that fails to schedule.
 pub fn run_heuristic_batched(
     instance: &Instance,
     heuristic: Heuristic,
     config: BatchConfig,
 ) -> Result<Schedule> {
-    let threads = if instance.len() < PARALLEL_BATCH_MIN_TASKS {
-        1
-    } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    };
-    run_heuristic_batched_pooled(instance, heuristic, config, threads)
-}
-
-/// Instance size at or above which [`run_heuristic_batched`] fans its
-/// batches out across workers; below it a whole batched run costs less
-/// than spawning the pool. [`run_heuristic_batched_pooled`] ignores this
-/// threshold and honors its explicit worker count.
-pub const PARALLEL_BATCH_MIN_TASKS: usize = 256;
-
-/// [`run_heuristic_batched`] with an explicit worker-thread count
-/// (`threads <= 1` solves the batches sequentially). Workers claim batches
-/// one at a time from a shared index, so heterogeneous batch costs do not
-/// stall the pool; the stitching pass is always sequential and deterministic.
-///
-/// # Errors
-///
-/// A failing batch stops the pool; among the failures observed, the one of
-/// the lowest batch index is returned — the same error a sequential run
-/// reports, since that run would fail at the first bad batch. A panic inside
-/// a batch surfaces as [`CoreError::Internal`].
-pub fn run_heuristic_batched_pooled(
-    instance: &Instance,
-    heuristic: Heuristic,
-    config: BatchConfig,
-    threads: usize,
-) -> Result<Schedule> {
     if config.batch_size == 0 {
         return Err(CoreError::Infeasible("batch size must be positive".into()));
     }
     let ids = instance.task_ids();
-    let batches: Vec<&[TaskId]> = ids.chunks(config.batch_size).collect();
-    let solved = solve_batches(instance, heuristic, &batches, threads)?;
-
     let mut global = Schedule::with_capacity(instance.len());
     let mut offset = Time::ZERO;
-    for (batch, (sub_schedule, makespan)) in batches.iter().zip(solved) {
+    for batch in ids.chunks(config.batch_size) {
+        let sub = instance.sub_instance(batch)?;
+        let sub_schedule = run_heuristic(&sub, heuristic)?;
         // Translate the sub-schedule back to global task ids and shift it by
         // the completion time of the previous batches.
         for entry in sub_schedule.entries() {
@@ -116,27 +76,9 @@ pub fn run_heuristic_batched_pooled(
                 comp_start: entry.comp_start + offset,
             });
         }
-        offset += makespan;
+        offset += sub_schedule.makespan(&sub);
     }
     Ok(global)
-}
-
-/// Solves every batch independently (each from an empty runtime state) and
-/// returns, in batch order, each sub-schedule with its makespan. The
-/// work-stealing, abort-on-error and lowest-index-error semantics come
-/// from [`run_indexed_pool`].
-fn solve_batches(
-    instance: &Instance,
-    heuristic: Heuristic,
-    batches: &[&[TaskId]],
-    threads: usize,
-) -> Result<Vec<(Schedule, Time)>> {
-    run_indexed_pool(batches.len(), threads, |index| {
-        let sub = instance.sub_instance(batches[index])?;
-        let sub_schedule = run_heuristic(&sub, heuristic)?;
-        let makespan = sub_schedule.makespan(&sub);
-        Ok((sub_schedule, makespan))
-    })
 }
 
 /// Sum over batches of the OMIM lower bound: the reference value the paper
@@ -221,35 +163,10 @@ mod tests {
     }
 
     #[test]
-    fn pooled_batches_match_sequential_exactly() {
-        // The parallel path must reproduce the sequential schedule entry for
-        // entry (same tasks, same instants), whatever the worker count.
-        let mut rng = StdRng::seed_from_u64(12);
-        for n_tasks in [1usize, 9, 33, 70] {
-            let inst = random_instance_decoupled_memory(&mut rng, n_tasks, 1.3);
-            for h in [Heuristic::OS, Heuristic::MAMR, Heuristic::OOLCMR] {
-                for batch_size in [1usize, 7, 100] {
-                    let config = BatchConfig { batch_size };
-                    let sequential = run_heuristic_batched_pooled(&inst, h, config, 1).unwrap();
-                    for threads in [2usize, 5, 64] {
-                        let pooled =
-                            run_heuristic_batched_pooled(&inst, h, config, threads).unwrap();
-                        assert_eq!(
-                            sequential, pooled,
-                            "{h} diverged: n={n_tasks} batch={batch_size} threads={threads}"
-                        );
-                    }
-                    let auto = run_heuristic_batched(&inst, h, config).unwrap();
-                    assert_eq!(sequential, auto, "{h} auto-threaded run diverged");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_batches_report_the_earliest_failing_batch() {
-        // Task 5 (batch #1 of size-4 batches) exceeds the capacity; both the
-        // sequential and the pooled run must surface that batch's error.
+    fn batched_run_reports_the_first_failing_batch() {
+        // Task 5 (batch #1 of size-4 batches) exceeds the capacity: the run
+        // stops at that batch and surfaces its error, with the task id local
+        // to the batch.
         let json = format!(
             r#"{{
                 "tasks": [{}],
@@ -265,13 +182,10 @@ mod tests {
                 .join(",")
         );
         let inst: Instance = serde_json::from_str(&json).unwrap();
-        let config = BatchConfig { batch_size: 4 };
-        let sequential =
-            run_heuristic_batched_pooled(&inst, Heuristic::LCMR, config, 1).unwrap_err();
-        let pooled = run_heuristic_batched_pooled(&inst, Heuristic::LCMR, config, 4).unwrap_err();
-        assert_eq!(sequential, pooled);
+        let err = run_heuristic_batched(&inst, Heuristic::LCMR, BatchConfig { batch_size: 4 })
+            .unwrap_err();
         assert!(matches!(
-            pooled,
+            err,
             CoreError::TaskExceedsCapacity {
                 task: TaskId(1),
                 ..

@@ -1,4 +1,15 @@
-//! Shared event-driven machinery for the dynamic and corrected heuristics.
+//! The decision loop shared by the dynamic heuristics (Section 4.2 of the
+//! paper) and the static orders with dynamic corrections (Section 4.3).
+//!
+//! Whenever the communication link becomes free, the next task is chosen
+//! among the not-yet-scheduled tasks that (a) fit in the currently
+//! available memory and (b) induce the minimum idle time on the processing
+//! unit; a [`SelectionCriterion`] then breaks the tie. If no task fits, the
+//! link is left idle until the next memory release. The corrected
+//! heuristics run the same loop with a precomputed order (the Johnson
+//! order for `OO*`): its next task is taken as long as it fits, and the
+//! dynamic rule only fills the gap when it does not. [`run_decisions`] is
+//! that loop; communications and computations happen in the same order.
 //!
 //! The engine models the runtime state of problem `DT` while a schedule is
 //! being constructed task by task: availability of the communication link
@@ -15,27 +26,151 @@
 //! [`EngineState::available`] is O(1) and
 //! [`EngineState::next_release_after`] is O(log n).
 //!
-//! The decision loops of [`run_dynamic`](crate::dynamic::run_dynamic) and
-//! [`run_corrected_with_order`](crate::corrected::run_corrected_with_order)
-//! do not probe candidates one by one: [`select_candidate`] resolves each
-//! decision with O(log n) queries against a
-//! [`CandidateIndex`] of the remaining
-//! tasks, so a whole run costs O(n log n) instead of the O(n²) of scanning
-//! every remaining task per decision. (The ratio query behind MAMR/OOMAMR
-//! is output-sensitive — O(log n) per decision when communication times
-//! are quantized, as in the paper's traces; see
-//! [`CandidateIndex::best_ratio_candidate_within`] for the general
-//! bound.) [`filter_minimum_cpu_idle`] remains
-//! the executable specification of the selection rule: the
-//! `select_candidate_matches_the_specification_filter` test below replays
-//! whole runs comparing the two decision for decision, and the
-//! `engine_equivalence` integration suite pins the resulting schedules
-//! byte-identical to the seed engine.
+//! The decision loop does not probe candidates one by one:
+//! [`select_candidate`] resolves each decision with O(log n) queries
+//! against a [`CandidateIndex`] of the remaining tasks, so a whole run
+//! costs O(n log n) instead of the O(n²) of scanning every remaining task
+//! per decision. (The ratio query behind MAMR/OOMAMR is output-sensitive —
+//! O(log n) per decision when communication times are quantized, as in the
+//! paper's traces; see [`CandidateIndex::best_ratio_candidate_within`] for
+//! the general bound.) The executable specification of the rule — filter
+//! the fitting tasks by minimum induced idle time, then apply the
+//! criterion — lives in the `engine_equivalence` integration suite, which
+//! replays whole runs comparing the two decision for decision and pins the
+//! resulting schedules byte-identical to the seed engine.
 
-use crate::SelectionCriterion;
 use dts_core::index::CandidateIndex;
 use dts_core::prelude::*;
+use dts_core::simulate::check_permutation;
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+
+/// Tie-break criterion applied after the minimum-CPU-idle filter. Ties
+/// left by the criterion go to the smallest task id, so the heuristics are
+/// deterministic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum SelectionCriterion {
+    /// `LCMR`/`OOLCMR`: pick the task with the largest communication time.
+    LargestCommunication,
+    /// `SCMR`/`OOSCMR`: pick the task with the smallest communication time.
+    SmallestCommunication,
+    /// `MAMR`/`OOMAMR`: pick the task with the largest
+    /// computation/communication ratio.
+    MaximumAcceleration,
+}
+
+/// Runs the decision loop to completion under `model` and returns the
+/// schedule.
+///
+/// With `order == None` every decision is a dynamic selection: the §4.2
+/// heuristics `LCMR`, `SCMR` and `MAMR`. With `Some(order)` the loop
+/// follows `order` as long as its next task fits in memory and corrects
+/// with a dynamic selection otherwise: the §4.3 heuristics `OOLCMR`,
+/// `OOSCMR` and `OOMAMR` on the Johnson order, or corrections on top of any
+/// other precomputed order. The selection rule is shared by all execution
+/// models; only the commit timing is model-specific (see
+/// [`EngineState::commit`]).
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidExecutionModel`] for an invalid `model`,
+/// the [`check_permutation`] errors if `order` is not a permutation of the
+/// instance's tasks, and [`CoreError::TaskExceedsCapacity`] if a task can
+/// never fit in the instance's memory (possible only for instances that
+/// bypassed [`Instance::new`] validation, e.g. deserialized ones) — such a
+/// task would otherwise stall the loop forever.
+pub fn run_decisions(
+    instance: &Instance,
+    order: Option<&[TaskId]>,
+    criterion: SelectionCriterion,
+    model: ExecutionModel,
+) -> Result<Schedule> {
+    model.validate()?;
+    if let Some(order) = order {
+        check_permutation(instance, order)?;
+    }
+    instance.check_tasks_fit()?;
+    let mut state = EngineState::with_model(instance, model);
+    // Remaining tasks, indexed by memory footprint: each decision is
+    // resolved with O(log n) threshold queries instead of scanning every
+    // remaining task (see `select_candidate`). Only MAMR asks ratio
+    // queries, so the other criteria skip the ratio priority tree.
+    let mut index = match criterion {
+        SelectionCriterion::MaximumAcceleration => CandidateIndex::new(instance),
+        _ => CandidateIndex::comm_only(instance),
+    };
+    let mut pending = order.map(PendingOrder::new);
+    let mut now = Time::ZERO;
+
+    while !index.is_empty() {
+        now = now.max(state.link_free);
+        state.release_up_to(now);
+        // Follow the precomputed order while its next task fits; otherwise
+        // select dynamically. The index still holds that next task, but
+        // never returns it here since the queries only consider tasks that
+        // fit.
+        let next_in_order = pending
+            .as_mut()
+            .and_then(PendingOrder::first_unscheduled)
+            .filter(|&id| state.fits_at(instance.task(id), now));
+        match next_in_order.or_else(|| select_candidate(instance, &state, &index, now, criterion)) {
+            Some(chosen) => {
+                state.commit(instance, chosen, now);
+                index.remove(chosen);
+                if let Some(pending) = pending.as_mut() {
+                    pending.mark_scheduled(chosen);
+                }
+            }
+            None => {
+                // No remaining task fits: leave the link idle until the next
+                // memory release. A release always exists here, otherwise
+                // the memory would be empty and every task would fit
+                // (oversized tasks were rejected above).
+                now = state.next_release_after(now).ok_or_else(|| {
+                    CoreError::Internal("no task fits yet no memory is held".into())
+                })?;
+            }
+        }
+    }
+    Ok(state.schedule)
+}
+
+/// The part of a precomputed order not scheduled yet: the suffix starting
+/// at `cursor`, minus the positions a dynamic correction already took.
+struct PendingOrder<'a> {
+    order: &'a [TaskId],
+    scheduled: Vec<bool>,
+    position_of: Vec<usize>,
+    cursor: usize,
+}
+
+impl<'a> PendingOrder<'a> {
+    /// `order` must be a permutation of the instance's tasks.
+    fn new(order: &'a [TaskId]) -> Self {
+        let mut position_of = vec![0usize; order.len()];
+        for (pos, id) in order.iter().enumerate() {
+            position_of[id.index()] = pos;
+        }
+        PendingOrder {
+            order,
+            scheduled: vec![false; order.len()],
+            position_of,
+            cursor: 0,
+        }
+    }
+
+    /// The first unscheduled task of the order, if any.
+    fn first_unscheduled(&mut self) -> Option<TaskId> {
+        while self.scheduled.get(self.cursor) == Some(&true) {
+            self.cursor += 1;
+        }
+        self.order.get(self.cursor).copied()
+    }
+
+    fn mark_scheduled(&mut self, id: TaskId) {
+        self.scheduled[self.position_of[id.index()]] = true;
+    }
+}
 
 /// Mutable scheduling state used by the decision-driven heuristics.
 #[derive(Debug, Clone)]
@@ -75,13 +210,6 @@ pub struct EngineState {
 }
 
 impl EngineState {
-    /// Creates the initial state for an instance, honoring the execution
-    /// model the instance carries ([`ExecutionModel::Explicit`] unless one
-    /// was attached).
-    pub fn new(instance: &Instance) -> Self {
-        Self::with_model(instance, instance.model())
-    }
-
     /// Creates the initial state for an instance under an explicit
     /// execution model. Callers must validate the model first
     /// ([`ExecutionModel::validate`]); the public heuristic entry points
@@ -309,35 +437,10 @@ impl EngineState {
     }
 }
 
-/// Among `candidates` (tasks that fit in memory at instant `t`), keeps only
-/// those inducing the minimum idle time on the processing unit — the common
-/// pre-filter of every dynamic selection rule of the paper.
-pub fn filter_minimum_cpu_idle(
-    instance: &Instance,
-    state: &EngineState,
-    candidates: &[TaskId],
-    t: Time,
-) -> Vec<TaskId> {
-    let min_idle = candidates
-        .iter()
-        .map(|&id| state.induced_cpu_idle(instance.task(id), t))
-        .min();
-    match min_idle {
-        None => Vec::new(),
-        Some(min) => candidates
-            .iter()
-            .copied()
-            .filter(|&id| state.induced_cpu_idle(instance.task(id), t) == min)
-            .collect(),
-    }
-}
-
 /// Resolves one dynamic selection decision against a [`CandidateIndex`]:
 /// among the remaining tasks that fit in the free memory at instant `now`,
 /// keep those inducing the minimum idle time on the processing unit, then
-/// apply `criterion` — the exact rule of
-/// `criterion.choose(filter_minimum_cpu_idle(fitting))`, without
-/// materializing either set.
+/// apply `criterion` — without materializing either set.
 ///
 /// Returns `None` iff no remaining task fits, in which case callers wait
 /// for the next memory release. The caller must have called
@@ -358,7 +461,7 @@ pub fn filter_minimum_cpu_idle(
 ///   same set (no fitting task has a smaller communication time).
 ///
 /// Each criterion then reduces to one ordered query on that set, with ties
-/// broken by smallest id exactly as [`SelectionCriterion::choose`] does.
+/// broken by smallest id.
 pub fn select_candidate(
     instance: &Instance,
     state: &EngineState,
@@ -399,64 +502,176 @@ pub fn select_candidate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dts_core::instances::{random_instance_decoupled_memory, table4};
+    use crate::{run_heuristic, Heuristic};
+    use dts_core::feasibility::is_feasible;
+    use dts_core::instances::{random_instance_decoupled_memory, table4, table5};
+    use dts_flowshop::johnson::{johnson_makespan, johnson_order};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Replays whole scheduling runs, comparing `select_candidate` against
-    /// the executable specification it replaces — `criterion.choose` over
-    /// `filter_minimum_cpu_idle` over the fitting remaining tasks — at
-    /// every single decision instant.
+    const CRITERIA: [SelectionCriterion; 3] = [
+        SelectionCriterion::LargestCommunication,
+        SelectionCriterion::SmallestCommunication,
+        SelectionCriterion::MaximumAcceleration,
+    ];
+
+    fn comm_order_names(inst: &Instance, sched: &Schedule) -> Vec<String> {
+        sched
+            .comm_order()
+            .iter()
+            .map(|id| inst.task(*id).name.clone())
+            .collect()
+    }
+
+    fn entry_of(inst: &Instance, sched: &Schedule, name: &str) -> ScheduleEntry {
+        let (id, _) = inst.iter().find(|(_, t)| t.name == name).unwrap();
+        *sched.entry(id).unwrap()
+    }
+
+    /// Fig. 5 of the paper: the three dynamic heuristics on Table 4 with a
+    /// memory capacity of 6.
     #[test]
-    fn select_candidate_matches_the_specification_filter() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let criteria = [
-            SelectionCriterion::LargestCommunication,
-            SelectionCriterion::SmallestCommunication,
-            SelectionCriterion::MaximumAcceleration,
-        ];
-        for round in 0..15 {
-            let inst = random_instance_decoupled_memory(&mut rng, 14, 1.2);
-            for criterion in criteria {
-                let mut state = EngineState::new(&inst);
-                let mut index = CandidateIndex::new(&inst);
-                let mut remaining: Vec<TaskId> = inst.task_ids();
-                let mut now = Time::ZERO;
-                while !remaining.is_empty() {
-                    now = now.max(state.link_free);
-                    state.release_up_to(now);
-                    let fitting: Vec<TaskId> = remaining
-                        .iter()
-                        .copied()
-                        .filter(|id| state.fits_at(inst.task(*id), now))
-                        .collect();
-                    let spec = criterion.choose(
-                        &inst,
-                        &filter_minimum_cpu_idle(&inst, &state, &fitting, now),
-                    );
-                    let fast = select_candidate(&inst, &state, &index, now, criterion);
-                    assert_eq!(fast, spec, "round {round}, {criterion:?}, t = {now}");
-                    match fast {
-                        Some(chosen) => {
-                            state.commit(&inst, chosen, now);
-                            index.remove(chosen);
-                            remaining.retain(|id| *id != chosen);
-                        }
-                        None => {
-                            now = state
-                                .next_release_after(now)
-                                .expect("some task holds memory");
-                        }
-                    }
+    fn fig5_dynamic_schedules() {
+        let inst = table4();
+        for (heuristic, order, makespan) in [
+            (Heuristic::LCMR, ["B", "D", "A", "C"], 23),
+            (Heuristic::SCMR, ["B", "A", "C", "D"], 25),
+            (Heuristic::MAMR, ["B", "C", "A", "D"], 24),
+        ] {
+            let sched = run_heuristic(&inst, heuristic).unwrap();
+            assert_eq!(comm_order_names(&inst, &sched), order, "{heuristic}");
+            assert_eq!(sched.makespan(&inst), Time::units_int(makespan));
+            assert!(is_feasible(&inst, &sched));
+        }
+    }
+
+    #[test]
+    fn fig5_lcmr_detailed_timeline() {
+        // Cross-check the exact event times read off Fig. 5 (LCMR row):
+        // B comm [0,1) comp [1,7); D comm [1,6) comp [7,8);
+        // A comm [8,11) comp [11,13); C comm [13,17) comp [17,23).
+        let inst = table4();
+        let sched = run_heuristic(&inst, Heuristic::LCMR).unwrap();
+        let at = |name| entry_of(&inst, &sched, name);
+        assert_eq!(at("B").comm_start, Time::ZERO);
+        assert_eq!(at("D").comm_start, Time::units_int(1));
+        assert_eq!(at("D").comp_start, Time::units_int(7));
+        assert_eq!(at("A").comm_start, Time::units_int(8));
+        assert_eq!(at("C").comm_start, Time::units_int(13));
+        assert_eq!(at("C").comp_start, Time::units_int(17));
+    }
+
+    /// Fig. 6 of the paper: the three corrected heuristics on Table 5 with a
+    /// memory capacity of 9 (Johnson order B C D E A).
+    #[test]
+    fn fig6_corrected_schedules() {
+        let inst = table5();
+        for (heuristic, order, makespan) in [
+            (Heuristic::OOLCMR, ["B", "D", "A", "E", "C"], 33),
+            (Heuristic::OOSCMR, ["B", "E", "A", "D", "C"], 35),
+            (Heuristic::OOMAMR, ["B", "D", "E", "A", "C"], 33),
+        ] {
+            let sched = run_heuristic(&inst, heuristic).unwrap();
+            assert_eq!(comm_order_names(&inst, &sched), order, "{heuristic}");
+            assert_eq!(sched.makespan(&inst), Time::units_int(makespan));
+            assert!(is_feasible(&inst, &sched));
+        }
+    }
+
+    #[test]
+    fn fig6_oolcmr_detailed_timeline() {
+        // Event times read off Fig. 6 (OOLCMR row): B comm [0,2) comp [2,8);
+        // D comm [2,7) comp [8,12); A comm [8,12) comp [12,13);
+        // E comm [12,15) comp [15,17); C comm [17,25) comp [25,33).
+        let inst = table5();
+        let sched = run_heuristic(&inst, Heuristic::OOLCMR).unwrap();
+        let at = |name| entry_of(&inst, &sched, name);
+        assert_eq!(at("D").comm_start, Time::units_int(2));
+        assert_eq!(at("A").comm_start, Time::units_int(8));
+        assert_eq!(at("E").comm_start, Time::units_int(12));
+        assert_eq!(at("C").comm_start, Time::units_int(17));
+        assert_eq!(at("C").comp_start, Time::units_int(25));
+    }
+
+    #[test]
+    fn decision_schedules_are_feasible_on_random_instances() {
+        let mut rng = StdRng::seed_from_u64(1234);
+        for _ in 0..30 {
+            let inst = random_instance_decoupled_memory(&mut rng, 20, 1.2);
+            // Dynamic selection, and corrections on top of the submission
+            // order.
+            let submission = inst.task_ids();
+            for order in [None, Some(submission.as_slice())] {
+                for criterion in CRITERIA {
+                    let sched =
+                        run_decisions(&inst, order, criterion, ExecutionModel::Explicit).unwrap();
+                    assert_eq!(sched.len(), inst.len());
+                    assert!(is_feasible(&inst, &sched), "{criterion:?}");
+                    assert!(sched.is_permutation_schedule());
                 }
             }
         }
     }
 
     #[test]
+    fn with_unconstrained_memory_corrected_equals_johnson() {
+        // When memory is never a restriction the corrected heuristics follow
+        // the Johnson order exactly and reach OMIM.
+        let mut rng = StdRng::seed_from_u64(55);
+        for _ in 0..20 {
+            let inst = random_instance_decoupled_memory(&mut rng, 12, 1000.0);
+            let omim = johnson_makespan(&inst);
+            for heuristic in [Heuristic::OOLCMR, Heuristic::OOSCMR, Heuristic::OOMAMR] {
+                let sched = run_heuristic(&inst, heuristic).unwrap();
+                assert_eq!(sched.makespan(&inst), omim);
+            }
+        }
+    }
+
+    #[test]
+    fn corrected_never_worse_than_uncorrected_on_table5() {
+        // On Table 5 the plain OOSIM (no corrections) is blocked by C and
+        // ends later than every corrected variant.
+        let inst = table5();
+        let johnson = johnson_order(&inst);
+        let uncorrected = dts_core::simulate::simulate_sequence(&inst, &johnson, inst.model())
+            .unwrap()
+            .makespan(&inst);
+        for heuristic in [Heuristic::OOLCMR, Heuristic::OOSCMR, Heuristic::OOMAMR] {
+            let corrected = run_heuristic(&inst, heuristic).unwrap().makespan(&inst);
+            assert!(corrected <= uncorrected);
+        }
+    }
+
+    #[test]
+    fn invalid_orders_rejected() {
+        let inst = table5();
+        let run = |order: &[TaskId]| {
+            run_decisions(
+                &inst,
+                Some(order),
+                SelectionCriterion::LargestCommunication,
+                ExecutionModel::Explicit,
+            )
+            .unwrap_err()
+        };
+        assert_eq!(
+            run(&[TaskId(0), TaskId(1)]),
+            CoreError::NotAPermutation {
+                expected: 5,
+                got: 2
+            }
+        );
+        assert_eq!(
+            run(&[TaskId(0), TaskId(1), TaskId(1), TaskId(3), TaskId(4)]),
+            CoreError::DuplicateTask(TaskId(1))
+        );
+    }
+
+    #[test]
     fn held_memory_tracks_commits_and_releases() {
         let inst = table4();
-        let mut state = EngineState::new(&inst);
+        let mut state = EngineState::with_model(&inst, ExecutionModel::Explicit);
         assert_eq!(state.held_at(Time::ZERO), MemSize::ZERO);
         // Commit B (comm 1, comp 6, mem 1) at t = 0: active until 7.
         let end = state.commit(&inst, TaskId(1), Time::ZERO);
@@ -475,7 +690,7 @@ mod tests {
     #[test]
     fn release_up_to_prunes_and_preserves_queries() {
         let inst = table4();
-        let mut state = EngineState::new(&inst);
+        let mut state = EngineState::with_model(&inst, ExecutionModel::Explicit);
         // B (comp ends at 7, mem 1) then D (comm [1,6), comp [7,8), mem 5).
         state.commit(&inst, TaskId(1), Time::ZERO);
         state.commit(&inst, TaskId(3), Time::units_int(1));
@@ -499,7 +714,7 @@ mod tests {
     #[test]
     fn fits_at_respects_capacity() {
         let inst = table4(); // capacity 6
-        let mut state = EngineState::new(&inst);
+        let mut state = EngineState::with_model(&inst, ExecutionModel::Explicit);
         // B holds mem 1 until t = 7, then D holds mem 5 until t = 8.
         state.commit(&inst, TaskId(1), Time::ZERO);
         state.commit(&inst, TaskId(3), Time::units_int(1));
@@ -512,7 +727,7 @@ mod tests {
     #[test]
     fn induced_idle_measures_cpu_gap() {
         let inst = table4();
-        let mut state = EngineState::new(&inst);
+        let mut state = EngineState::with_model(&inst, ExecutionModel::Explicit);
         // B first: cpu_free = 7.
         state.commit(&inst, TaskId(1), Time::ZERO);
         // Starting A (comm 3) at t = 1 ends its transfer at 4 < 7: no idle.
@@ -525,21 +740,5 @@ mod tests {
             state.induced_cpu_idle(inst.task(TaskId(0)), Time::units_int(8)),
             Time::units_int(4)
         );
-    }
-
-    #[test]
-    fn min_idle_filter_keeps_ties() {
-        let inst = table4();
-        let mut state = EngineState::new(&inst);
-        state.commit(&inst, TaskId(1), Time::ZERO); // cpu busy until 7
-        let candidates = vec![TaskId(0), TaskId(2), TaskId(3)];
-        // At t = 1 every remaining transfer finishes before 7: all tie at 0.
-        let kept = filter_minimum_cpu_idle(&inst, &state, &candidates, Time::units_int(1));
-        assert_eq!(kept, candidates);
-        // At t = 5, A (comm 3) ends at 8 (idle 1), C (comm 4) at 9 (idle 2),
-        // D (comm 5) at 10 (idle 3): only A is kept.
-        let kept = filter_minimum_cpu_idle(&inst, &state, &candidates, Time::units_int(5));
-        assert_eq!(kept, vec![TaskId(0)]);
-        assert!(filter_minimum_cpu_idle(&inst, &state, &[], Time::ZERO).is_empty());
     }
 }

@@ -9,14 +9,14 @@
 //!   `OOSIM`, `IOCMS`, `DOCPS`, `IOCCS`, `DOCCS`, plus the `GG`
 //!   (Gilmore–Gomory) and `BP` (First-Fit bin packing) heuristics from
 //!   previous work;
-//! * **dynamic selection** ([`dynamic`]): whenever the communication link is
-//!   free, the next task is chosen among those that fit in the remaining
-//!   memory and induce minimum idle time on the processing unit — `LCMR`,
-//!   `SCMR`, `MAMR`;
-//! * **static order with dynamic corrections** ([`corrected`]): the Johnson
-//!   (OMIM) order is followed as long as the next task fits in memory and a
-//!   dynamic selection is used to fill the gap otherwise — `OOLCMR`,
-//!   `OOSCMR`, `OOMAMR`.
+//! * **dynamic selection** ([`engine`] without a precomputed order):
+//!   whenever the communication link is free, the next task is chosen among
+//!   those that fit in the remaining memory and induce minimum idle time on
+//!   the processing unit — `LCMR`, `SCMR`, `MAMR`;
+//! * **static order with dynamic corrections** ([`engine`] with the Johnson
+//!   order): the Johnson (OMIM) order is followed as long as the next task
+//!   fits in memory and a dynamic selection is used to fill the gap
+//!   otherwise — `OOLCMR`, `OOSCMR`, `OOMAMR`.
 //!
 //! [`Heuristic`] enumerates all of them, [`run_heuristic`] executes any of
 //! them on an [`Instance`], and [`batch`] applies a
@@ -25,18 +25,16 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod corrected;
-pub mod dynamic;
 pub mod engine;
 pub mod static_order;
 
 use dts_core::prelude::*;
+use dts_flowshop::johnson::johnson_order;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-pub use batch::{run_heuristic_batched, run_heuristic_batched_pooled, BatchConfig};
-pub use corrected::CorrectionCriterion;
-pub use dynamic::SelectionCriterion;
+pub use batch::{run_heuristic_batched, BatchConfig};
+pub use engine::{run_decisions, SelectionCriterion};
 
 /// The category of a heuristic, used by the "best variant of each category"
 /// experiments (Figs. 10, 12 and 13 of the paper).
@@ -204,16 +202,16 @@ pub fn run_heuristic(instance: &Instance, heuristic: Heuristic) -> Result<Schedu
 }
 
 /// [`run_heuristic`] under an explicit [`ExecutionModel`] (overriding
-/// whatever the instance carries). Static orders are computed exactly as
-/// before — the ordering rules only look at task characteristics — and then
-/// executed under `model`; the dynamic and corrected heuristics thread the
-/// model through their decision engines.
+/// whatever the instance carries). Static orders are computed from the
+/// task characteristics alone and then executed under `model`; the dynamic
+/// and corrected heuristics thread the model through
+/// [`run_decisions`].
 pub fn run_heuristic_with(
     instance: &Instance,
     heuristic: Heuristic,
     model: ExecutionModel,
 ) -> Result<Schedule> {
-    match heuristic {
+    let criterion = match heuristic {
         Heuristic::OS
         | Heuristic::OOSIM
         | Heuristic::IOCMS
@@ -223,35 +221,16 @@ pub fn run_heuristic_with(
         | Heuristic::GG
         | Heuristic::BP => {
             let order = static_order::static_order(instance, heuristic)?;
-            simulate_sequence_with(instance, &order, model)
+            return simulate_sequence(instance, &order, model);
         }
-        Heuristic::LCMR => {
-            dynamic::run_dynamic_with(instance, SelectionCriterion::LargestCommunication, model)
-        }
-        Heuristic::SCMR => {
-            dynamic::run_dynamic_with(instance, SelectionCriterion::SmallestCommunication, model)
-        }
-        Heuristic::MAMR => {
-            dynamic::run_dynamic_with(instance, SelectionCriterion::MaximumAcceleration, model)
-        }
-        Heuristic::OOLCMR => corrected::run_corrected_with_order_model(
-            instance,
-            &dts_flowshop::johnson::johnson_order(instance),
-            CorrectionCriterion::LargestCommunication,
-            model,
-        ),
-        Heuristic::OOSCMR => corrected::run_corrected_with_order_model(
-            instance,
-            &dts_flowshop::johnson::johnson_order(instance),
-            CorrectionCriterion::SmallestCommunication,
-            model,
-        ),
-        Heuristic::OOMAMR => corrected::run_corrected_with_order_model(
-            instance,
-            &dts_flowshop::johnson::johnson_order(instance),
-            CorrectionCriterion::MaximumAcceleration,
-            model,
-        ),
+        Heuristic::LCMR | Heuristic::OOLCMR => SelectionCriterion::LargestCommunication,
+        Heuristic::SCMR | Heuristic::OOSCMR => SelectionCriterion::SmallestCommunication,
+        Heuristic::MAMR | Heuristic::OOMAMR => SelectionCriterion::MaximumAcceleration,
+    };
+    if heuristic.category() == HeuristicCategory::StaticDynamic {
+        run_decisions(instance, Some(&johnson_order(instance)), criterion, model)
+    } else {
+        run_decisions(instance, None, criterion, model)
     }
 }
 
@@ -270,26 +249,15 @@ pub fn run_heuristic_with(
 /// println!("best heuristic on Table 5: {winner}");
 /// ```
 pub fn best_heuristic(instance: &Instance) -> Result<(Heuristic, Schedule)> {
-    let mut best: Option<(Heuristic, Schedule, Time)> = None;
-    for &h in &Heuristic::ALL {
+    let [first, rest @ ..] = Heuristic::ALL;
+    let mut best = (first, run_heuristic(instance, first)?);
+    let mut best_makespan = best.1.makespan(instance);
+    for h in rest {
         let schedule = run_heuristic(instance, h)?;
         let makespan = schedule.makespan(instance);
-        if best.as_ref().is_none_or(|(_, _, m)| makespan < *m) {
-            best = Some((h, schedule, makespan));
-        }
-    }
-    let (h, s, _) = best.expect("Heuristic::ALL is non-empty");
-    Ok((h, s))
-}
-
-/// Runs every heuristic of a category and returns the smallest makespan
-/// achieved (the "best variant" curves of Figs. 10, 12, 13).
-pub fn best_in_category(instance: &Instance, category: HeuristicCategory) -> Result<Time> {
-    let mut best = Time::MAX;
-    for h in Heuristic::in_category(category) {
-        let makespan = run_heuristic(instance, h)?.makespan(instance);
-        if makespan < best {
-            best = makespan;
+        if makespan < best_makespan {
+            best = (h, schedule);
+            best_makespan = makespan;
         }
     }
     Ok(best)
@@ -342,16 +310,6 @@ mod tests {
         let best = best_sched.makespan(&inst);
         for &h in &Heuristic::ALL {
             assert!(run_heuristic(&inst, h).unwrap().makespan(&inst) >= best);
-        }
-    }
-
-    #[test]
-    fn best_in_category_covers_all_categories() {
-        let inst = table4();
-        for cat in HeuristicCategory::ALL {
-            let best = best_in_category(&inst, cat).unwrap();
-            assert!(best >= johnson_makespan(&inst));
-            assert!(!Heuristic::in_category(cat).is_empty());
         }
     }
 

@@ -119,7 +119,7 @@ mod tests {
         for (h, expected_order, expected_makespan) in cases {
             let order = static_order(&inst, h).unwrap();
             assert_eq!(names(&inst, &order), expected_order, "{h} order");
-            let sched = simulate_sequence(&inst, &order).unwrap();
+            let sched = simulate_sequence(&inst, &order, inst.model()).unwrap();
             assert_eq!(
                 sched.makespan(&inst),
                 Time::units_int(expected_makespan),

@@ -3,26 +3,33 @@
 //!
 //! The reference model below is a line-for-line port of the seed engine
 //! (`active: Vec<(Time, MemSize)>` rescanned in full by every memory query,
-//! `Vec::remove(0)`/`retain` pending sets). The production engine replaced
-//! those with a running `held` counter, a pruned release queue and
-//! swap-removal; these tests pin the refactor to the exact seed behavior on
-//! the paper fixtures (Tables 3–5 / Figs. 4–6) and on seeded random
-//! instances.
+//! `Vec::remove(0)`/`retain` pending sets, one loop for the dynamic and one
+//! for the corrected heuristics). The production engine replaced those
+//! with a running `held` counter, a pruned release queue, a memory-indexed
+//! candidate set and a single decision loop; these tests pin the refactor
+//! to the exact seed behavior on the paper fixtures (Tables 3–5 /
+//! Figs. 4–6) and on seeded random instances.
+//!
+//! The reference also holds the executable specification of the selection
+//! rule (`filter_minimum_cpu_idle` + `choose`), which
+//! `select_candidate_matches_the_specification_filter` replays against the
+//! O(log n) `select_candidate` decision for decision.
 
+use dts_core::index::CandidateIndex;
 use dts_core::instances::{
     random_instance, random_instance_decoupled_memory, table3, table4, table5, RandomInstanceConfig,
 };
 use dts_core::prelude::*;
 use dts_flowshop::johnson::johnson_order;
-use dts_heuristics::corrected::{run_corrected, run_corrected_with_order};
-use dts_heuristics::dynamic::run_dynamic;
-use dts_heuristics::{CorrectionCriterion, SelectionCriterion};
+use dts_heuristics::engine::{run_decisions, select_candidate, EngineState};
+use dts_heuristics::SelectionCriterion;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The seed implementation of `EngineState`, kept verbatim as the oracle.
 mod reference {
     use dts_core::prelude::*;
+    use dts_heuristics::SelectionCriterion;
 
     pub struct EngineState {
         pub link_free: Time,
@@ -55,10 +62,6 @@ mod reference {
             self.held_at(t).saturating_add(task.mem) <= self.capacity
         }
 
-        pub fn induced_cpu_idle(&self, task: &Task, t: Time) -> Time {
-            (t + task.comm_time).saturating_sub(self.cpu_free)
-        }
-
         pub fn next_release_after(&self, t: Time) -> Option<Time> {
             self.active
                 .iter()
@@ -85,30 +88,55 @@ mod reference {
         }
     }
 
+    /// Among `candidates` (tasks that fit in memory at instant `t`), keeps
+    /// only those inducing the minimum idle time on a processing unit that
+    /// frees up at `cpu_free` — the common pre-filter of every dynamic
+    /// selection rule of the paper.
     pub fn filter_minimum_cpu_idle(
         instance: &Instance,
-        state: &EngineState,
+        cpu_free: Time,
         candidates: &[TaskId],
         t: Time,
     ) -> Vec<TaskId> {
-        let min_idle = candidates
-            .iter()
-            .map(|&id| state.induced_cpu_idle(instance.task(id), t))
-            .min();
+        let idle = |id: TaskId| (t + instance.task(id).comm_time).saturating_sub(cpu_free);
+        let min_idle = candidates.iter().map(|&id| idle(id)).min();
         match min_idle {
             None => Vec::new(),
             Some(min) => candidates
                 .iter()
                 .copied()
-                .filter(|&id| state.induced_cpu_idle(instance.task(id), t) == min)
+                .filter(|&id| idle(id) == min)
                 .collect(),
         }
     }
 
-    pub fn run_dynamic(
+    /// Chooses one task among the filtered candidates. Ties are broken by
+    /// task id so the heuristics are deterministic.
+    pub fn choose(
+        criterion: SelectionCriterion,
         instance: &Instance,
-        criterion: dts_heuristics::SelectionCriterion,
-    ) -> Schedule {
+        candidates: &[TaskId],
+    ) -> Option<TaskId> {
+        match criterion {
+            SelectionCriterion::LargestCommunication => candidates
+                .iter()
+                .copied()
+                .max_by_key(|id| (instance.task(*id).comm_time, std::cmp::Reverse(id.index()))),
+            SelectionCriterion::SmallestCommunication => candidates
+                .iter()
+                .copied()
+                .min_by_key(|id| (instance.task(*id).comm_time, id.index())),
+            SelectionCriterion::MaximumAcceleration => candidates.iter().copied().max_by(|a, b| {
+                let ra = instance.task(*a).acceleration_ratio();
+                let rb = instance.task(*b).acceleration_ratio();
+                ra.partial_cmp(&rb)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(b.index().cmp(&a.index()))
+            }),
+        }
+    }
+
+    pub fn run_dynamic(instance: &Instance, criterion: SelectionCriterion) -> Schedule {
         let mut state = EngineState::new(instance);
         let mut remaining: Vec<TaskId> = instance.task_ids();
         let mut now = Time::ZERO;
@@ -125,9 +153,8 @@ mod reference {
                     .expect("reference: some task holds memory");
                 continue;
             }
-            let best_idle = filter_minimum_cpu_idle(instance, &state, &fitting, now);
-            let chosen = criterion
-                .choose(instance, &best_idle)
+            let best_idle = filter_minimum_cpu_idle(instance, state.cpu_free, &fitting, now);
+            let chosen = choose(criterion, instance, &best_idle)
                 .expect("reference: candidates are non-empty");
             state.commit(instance, chosen, now);
             remaining.retain(|id| *id != chosen);
@@ -138,7 +165,7 @@ mod reference {
     pub fn run_corrected_with_order(
         instance: &Instance,
         order: &[TaskId],
-        selection: dts_heuristics::SelectionCriterion,
+        selection: SelectionCriterion,
     ) -> Schedule {
         let mut state = EngineState::new(instance);
         let mut pending: Vec<TaskId> = order.to_vec();
@@ -162,9 +189,8 @@ mod reference {
                     .expect("reference: some task holds memory");
                 continue;
             }
-            let best_idle = filter_minimum_cpu_idle(instance, &state, &fitting, now);
-            let chosen = selection
-                .choose(instance, &best_idle)
+            let best_idle = filter_minimum_cpu_idle(instance, state.cpu_free, &fitting, now);
+            let chosen = choose(selection, instance, &best_idle)
                 .expect("reference: candidates are non-empty");
             state.commit(instance, chosen, now);
             pending.retain(|id| *id != chosen);
@@ -179,36 +205,120 @@ const SELECTIONS: [SelectionCriterion; 3] = [
     SelectionCriterion::MaximumAcceleration,
 ];
 
-const CORRECTIONS: [CorrectionCriterion; 3] = [
-    CorrectionCriterion::LargestCommunication,
-    CorrectionCriterion::SmallestCommunication,
-    CorrectionCriterion::MaximumAcceleration,
-];
+/// Dynamic selection (no precomputed order) under the explicit model.
+fn dynamic(instance: &Instance, criterion: SelectionCriterion) -> Result<Schedule> {
+    run_decisions(instance, None, criterion, ExecutionModel::Explicit)
+}
+
+/// Corrections on top of `order` under the explicit model.
+fn corrected(
+    instance: &Instance,
+    order: &[TaskId],
+    criterion: SelectionCriterion,
+) -> Result<Schedule> {
+    run_decisions(instance, Some(order), criterion, ExecutionModel::Explicit)
+}
 
 /// Asserts that both engines produce the exact same schedule (same comm and
 /// comp orders and instants, hence the same makespan) on `instance`.
 fn assert_engines_agree(instance: &Instance, context: &str) {
     for criterion in SELECTIONS {
-        let new = run_dynamic(instance, criterion).expect("dynamic heuristic runs");
+        let new = dynamic(instance, criterion).expect("dynamic heuristic runs");
         let old = reference::run_dynamic(instance, criterion);
         assert_eq!(new, old, "dynamic {criterion:?} diverged on {context}");
-    }
-    for (correction, selection) in CORRECTIONS.into_iter().zip(SELECTIONS) {
+
         let johnson = johnson_order(instance);
-        let new = run_corrected(instance, correction).expect("corrected heuristic runs");
-        let old = reference::run_corrected_with_order(instance, &johnson, selection);
-        assert_eq!(new, old, "corrected {correction:?} diverged on {context}");
+        let new = corrected(instance, &johnson, criterion).expect("corrected heuristic runs");
+        let old = reference::run_corrected_with_order(instance, &johnson, criterion);
+        assert_eq!(new, old, "corrected {criterion:?} diverged on {context}");
 
         // Also exercise a non-Johnson precomputed order (submission order).
         let submission = instance.task_ids();
-        let new = run_corrected_with_order(instance, &submission, correction)
+        let new = corrected(instance, &submission, criterion)
             .expect("corrected-with-order heuristic runs");
-        let old = reference::run_corrected_with_order(instance, &submission, selection);
+        let old = reference::run_corrected_with_order(instance, &submission, criterion);
         assert_eq!(
             new, old,
-            "corrected {correction:?} on submission order diverged on {context}"
+            "corrected {criterion:?} on submission order diverged on {context}"
         );
     }
+}
+
+/// Replays whole scheduling runs, comparing `select_candidate` against the
+/// executable specification it replaces — `choose` over
+/// `filter_minimum_cpu_idle` over the fitting remaining tasks — at every
+/// single decision instant.
+#[test]
+fn select_candidate_matches_the_specification_filter() {
+    let mut rng = StdRng::seed_from_u64(31);
+    for round in 0..15 {
+        let inst = random_instance_decoupled_memory(&mut rng, 14, 1.2);
+        for criterion in SELECTIONS {
+            let mut state = EngineState::with_model(&inst, ExecutionModel::Explicit);
+            let mut index = CandidateIndex::new(&inst);
+            let mut remaining: Vec<TaskId> = inst.task_ids();
+            let mut now = Time::ZERO;
+            while !remaining.is_empty() {
+                now = now.max(state.link_free);
+                state.release_up_to(now);
+                let fitting: Vec<TaskId> = remaining
+                    .iter()
+                    .copied()
+                    .filter(|id| state.fits_at(inst.task(*id), now))
+                    .collect();
+                let spec = reference::choose(
+                    criterion,
+                    &inst,
+                    &reference::filter_minimum_cpu_idle(&inst, state.cpu_free, &fitting, now),
+                );
+                let fast = select_candidate(&inst, &state, &index, now, criterion);
+                assert_eq!(fast, spec, "round {round}, {criterion:?}, t = {now}");
+                match fast {
+                    Some(chosen) => {
+                        state.commit(&inst, chosen, now);
+                        index.remove(chosen);
+                        remaining.retain(|id| *id != chosen);
+                    }
+                    None => {
+                        now = state
+                            .next_release_after(now)
+                            .expect("some task holds memory");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn specification_filter_keeps_ties() {
+    // Table 4 after committing B at t = 0: the processing unit is busy
+    // until 7.
+    let inst = table4();
+    let cpu_free = Time::units_int(7);
+    let candidates = vec![TaskId(0), TaskId(2), TaskId(3)];
+    // At t = 1 every remaining transfer finishes before 7: all tie at 0.
+    let kept = reference::filter_minimum_cpu_idle(&inst, cpu_free, &candidates, Time::units_int(1));
+    assert_eq!(kept, candidates);
+    // At t = 5, A (comm 3) ends at 8 (idle 1), C (comm 4) at 9 (idle 2),
+    // D (comm 5) at 10 (idle 3): only A is kept.
+    let kept = reference::filter_minimum_cpu_idle(&inst, cpu_free, &candidates, Time::units_int(5));
+    assert_eq!(kept, vec![TaskId(0)]);
+    assert!(reference::filter_minimum_cpu_idle(&inst, cpu_free, &[], Time::ZERO).is_empty());
+}
+
+#[test]
+fn specification_criteria_choose_expected_tasks() {
+    let inst = table4();
+    let all = inst.task_ids();
+    let choose = |criterion, candidates: &[TaskId]| reference::choose(criterion, &inst, candidates);
+    // D: comm 5.
+    assert_eq!(choose(SELECTIONS[0], &all), Some(TaskId(3)));
+    // B: comm 1.
+    assert_eq!(choose(SELECTIONS[1], &all), Some(TaskId(1)));
+    // B: ratio 6.
+    assert_eq!(choose(SELECTIONS[2], &all), Some(TaskId(1)));
+    assert_eq!(choose(SELECTIONS[0], &[]), None);
 }
 
 #[test]
@@ -350,7 +460,7 @@ fn sequence_executor_agrees_with_reference_on_random_orders() {
         let mut order = instance.task_ids();
         for _ in 0..20 {
             order.shuffle(&mut rng);
-            let fast = dts_core::simulate::simulate_sequence(&instance, &order)
+            let fast = dts_core::simulate::simulate_sequence(&instance, &order, instance.model())
                 .expect("valid order simulates");
             assert_eq!(
                 fast,
@@ -364,7 +474,7 @@ fn sequence_executor_agrees_with_reference_on_random_orders() {
         let instance = random_instance_decoupled_memory(&mut rng, 25, 1.25);
         let mut order = instance.task_ids();
         order.shuffle(&mut rng);
-        let fast = dts_core::simulate::simulate_sequence(&instance, &order)
+        let fast = dts_core::simulate::simulate_sequence(&instance, &order, instance.model())
             .expect("valid order simulates");
         assert_eq!(fast, naive_simulate(&instance, &order));
     }
@@ -385,16 +495,14 @@ fn oversized_task_is_rejected_by_dynamic_and_corrected_loops() {
     let instance: Instance = serde_json::from_str(json).expect("shape is valid JSON");
     for criterion in SELECTIONS {
         assert!(matches!(
-            run_dynamic(&instance, criterion),
+            dynamic(&instance, criterion),
             Err(CoreError::TaskExceedsCapacity {
                 task: TaskId(1),
                 ..
             })
         ));
-    }
-    for correction in CORRECTIONS {
         assert!(matches!(
-            run_corrected_with_order(&instance, &instance.task_ids(), correction),
+            corrected(&instance, &instance.task_ids(), criterion),
             Err(CoreError::TaskExceedsCapacity {
                 task: TaskId(1),
                 ..
@@ -432,13 +540,11 @@ fn u64_scale_memory_never_overlaps_the_full_memory_task() {
     };
     let mut schedules: Vec<(String, Schedule)> = Vec::new();
     for criterion in SELECTIONS {
-        let sched = run_dynamic(&instance, criterion).expect("dynamic heuristic runs");
+        let sched = dynamic(&instance, criterion).expect("dynamic heuristic runs");
         schedules.push((format!("dynamic {criterion:?}"), sched));
-    }
-    for correction in CORRECTIONS {
-        let sched = run_corrected_with_order(&instance, &instance.task_ids(), correction)
+        let sched = corrected(&instance, &instance.task_ids(), criterion)
             .expect("corrected heuristic runs");
-        schedules.push((format!("corrected {correction:?}"), sched));
+        schedules.push((format!("corrected {criterion:?}"), sched));
     }
     for (context, sched) in schedules {
         assert_eq!(sched.len(), 3, "{context}");

@@ -17,10 +17,8 @@
 use dts_core::memory::MemoryProfile;
 use dts_core::prelude::*;
 use dts_core::testgen;
-use dts_heuristics::corrected::run_corrected_with_order_model;
-use dts_heuristics::dynamic::run_dynamic_with;
 use dts_heuristics::{
-    run_heuristic, run_heuristic_with, CorrectionCriterion, Heuristic, SelectionCriterion,
+    run_decisions, run_heuristic, run_heuristic_with, Heuristic, SelectionCriterion,
 };
 use microcheck::Gen;
 use rand::rngs::StdRng;
@@ -85,10 +83,10 @@ fn overlap_models_change_dynamic_decisions_on_transfer_bound_instances() {
         let mut diverged = 0usize;
         for instance in &instances {
             for criterion in SELECTIONS {
-                let explicit = run_dynamic_with(instance, criterion, ExecutionModel::Explicit)
+                let explicit = run_decisions(instance, None, criterion, ExecutionModel::Explicit)
                     .expect("explicit run succeeds");
                 let overlapped =
-                    run_dynamic_with(instance, criterion, model).expect("overlap run succeeds");
+                    run_decisions(instance, None, criterion, model).expect("overlap run succeeds");
                 if explicit.comm_order() != overlapped.comm_order() {
                     diverged += 1;
                 }
@@ -110,11 +108,11 @@ fn dynamic_overlap_models_never_lose_to_explicit() {
     // violation would flag a commit-timing bug.
     for (i, instance) in transfer_bound_instances(53, 40).iter().enumerate() {
         for criterion in SELECTIONS {
-            let explicit = run_dynamic_with(instance, criterion, ExecutionModel::Explicit)
+            let explicit = run_decisions(instance, None, criterion, ExecutionModel::Explicit)
                 .expect("explicit run succeeds")
                 .makespan(instance);
             for model in [ExecutionModel::Duplex, ExecutionModel::Streams { k: 4 }] {
-                let overlapped = run_dynamic_with(instance, criterion, model)
+                let overlapped = run_decisions(instance, None, criterion, model)
                     .expect("overlap run succeeds")
                     .makespan(instance);
                 assert!(
@@ -138,7 +136,7 @@ fn all_models_stay_memory_feasible_through_every_engine() {
         for model in models {
             for criterion in SELECTIONS {
                 let schedule =
-                    run_dynamic_with(&instance, criterion, model).expect("dynamic run succeeds");
+                    run_decisions(&instance, None, criterion, model).expect("dynamic run succeeds");
                 assert_eq!(schedule.len(), instance.len());
                 let profile = MemoryProfile::of_schedule(&instance, &schedule);
                 assert!(
@@ -146,10 +144,10 @@ fn all_models_stay_memory_feasible_through_every_engine() {
                     "dynamic {criterion:?} under {model} violates memory"
                 );
             }
-            let schedule = run_corrected_with_order_model(
+            let schedule = run_decisions(
                 &instance,
-                &instance.task_ids(),
-                CorrectionCriterion::MaximumAcceleration,
+                Some(&instance.task_ids()),
+                SelectionCriterion::MaximumAcceleration,
                 model,
             )
             .expect("corrected run succeeds");
@@ -167,18 +165,19 @@ fn invalid_models_error_cleanly_through_every_entry_point() {
     let instance = dts_core::instances::table4();
     let zero_streams = ExecutionModel::Streams { k: 0 };
     assert!(matches!(
-        run_dynamic_with(
+        run_decisions(
             &instance,
+            None,
             SelectionCriterion::LargestCommunication,
             zero_streams
         ),
         Err(CoreError::InvalidExecutionModel(_))
     ));
     assert!(matches!(
-        run_corrected_with_order_model(
+        run_decisions(
             &instance,
-            &instance.task_ids(),
-            CorrectionCriterion::LargestCommunication,
+            Some(&instance.task_ids()),
+            SelectionCriterion::LargestCommunication,
             zero_streams,
         ),
         Err(CoreError::InvalidExecutionModel(_))

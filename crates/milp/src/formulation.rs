@@ -266,7 +266,8 @@ mod tests {
         // resulting schedule violates the memory row of the MILP.
         let inst = table3();
         let order = dts_flowshop::johnson::johnson_order(&inst);
-        let sched = dts_core::simulate::simulate_sequence_infinite(&inst, &order).unwrap();
+        let sched =
+            dts_core::simulate::simulate_sequence_infinite(&inst, &order, inst.model()).unwrap();
         let f = MilpFormulation::new(&inst);
         let violations = f.check(&sched);
         assert!(
@@ -279,7 +280,7 @@ mod tests {
     fn assignment_booleans_are_consistent() {
         let inst = table2();
         let order = inst.task_ids();
-        let sched = simulate_sequence(&inst, &order).unwrap();
+        let sched = simulate_sequence(&inst, &order, inst.model()).unwrap();
         let f = MilpFormulation::new(&inst);
         let asg = f.assignment(&sched).unwrap();
         let n = inst.len();

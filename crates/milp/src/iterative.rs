@@ -6,7 +6,7 @@
 //! runtime state left by the previous windows (the counterpart of the paper
 //! fixing the events of tasks that started before the window boundary).
 
-use crate::window::{solve_window, WindowState};
+use crate::window::{solve_window, WindowState, MAX_WINDOW_TASKS};
 use dts_core::pool::run_indexed_pool;
 use dts_core::prelude::*;
 
@@ -31,6 +31,10 @@ impl Default for LpKConfig {
 /// Runs `lp.k`: windows of `config.window` tasks in submission order, each
 /// solved exactly and concatenated.
 ///
+/// The window solver times transfers on the single half-duplex link of
+/// the paper's model, so only instances carrying
+/// [`ExecutionModel::Explicit`] are accepted.
+///
 /// ```
 /// use dts_core::instances::table3;
 /// use dts_milp::{lp_k, LpKConfig};
@@ -40,24 +44,34 @@ impl Default for LpKConfig {
 /// assert_eq!(schedule.len(), instance.len());
 /// assert!(dts_core::feasibility::is_feasible(&instance, &schedule));
 /// ```
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidExecutionModel`] for an instance carrying
+/// any other execution model, [`CoreError::Infeasible`] for a window size
+/// outside `1..=8`, and [`CoreError::TaskExceedsCapacity`] for a task that
+/// can never fit in memory.
 pub fn lp_k(instance: &Instance, config: LpKConfig) -> Result<Schedule> {
+    if !instance.model().is_explicit() {
+        return Err(CoreError::InvalidExecutionModel(format!(
+            "lp.k supports only the explicit model, not {}",
+            instance.model()
+        )));
+    }
     if config.window == 0 {
         return Err(CoreError::Infeasible("lp.k window must be positive".into()));
     }
-    if config.window > 8 {
+    if config.window > MAX_WINDOW_TASKS {
         return Err(CoreError::Infeasible(format!(
-            "lp.k window of {} is too large for exact enumeration (max 8)",
+            "lp.k window of {} is too large for exact enumeration (max {MAX_WINDOW_TASKS})",
             config.window
         )));
     }
-    // An oversized task (possible only for deserialized instances) would
-    // drain the window simulator's release queue and panic.
-    instance.check_tasks_fit()?;
     let ids = instance.task_ids();
     let mut state = WindowState::default();
     let mut schedule = Schedule::with_capacity(instance.len());
     for window in ids.chunks(config.window) {
-        let solution = solve_window(instance, &state, window);
+        let solution = solve_window(instance, &state, window)?;
         for entry in solution.entries {
             schedule.push(entry);
         }
@@ -72,9 +86,13 @@ pub fn lp_k(instance: &Instance, config: LpKConfig) -> Result<Schedule> {
 /// sweep takes well under the cost of spawning threads.
 pub const PARALLEL_SWEEP_MIN_TASKS: usize = 16;
 
-/// Convenience: runs `lp.k` for every window size of Fig. 7 and returns the
+/// Runs `lp.k` for every window size of Fig. 7 and returns the
 /// `(k, makespan)` pairs, in the order of
-/// [`LpKConfig::PAPER_WINDOW_SIZES`].
+/// [`LpKConfig::PAPER_WINDOW_SIZES`]. Each window size is an independent
+/// `lp.k` solve, so on instances of at least [`PARALLEL_SWEEP_MIN_TASKS`]
+/// tasks the sizes are solved on scoped threads; results (and the reported
+/// error, if any: the one for the earliest failing size) are identical to
+/// solving the sizes one by one.
 ///
 /// ```
 /// use dts_core::instances::table3;
@@ -83,20 +101,10 @@ pub const PARALLEL_SWEEP_MIN_TASKS: usize = 16;
 /// assert_eq!(sweep[0].0, 3); // lp.3 first
 /// ```
 pub fn lp_k_sweep(instance: &Instance) -> Result<Vec<(usize, Time)>> {
-    lp_k_sweep_sizes(instance, &LpKConfig::PAPER_WINDOW_SIZES)
-}
-
-/// [`lp_k_sweep`] over arbitrary window sizes. Each window size is an
-/// independent `lp.k` solve, so on instances of at least
-/// [`PARALLEL_SWEEP_MIN_TASKS`] tasks the sizes are solved on scoped
-/// threads; results (and the reported error, if any: the one for the
-/// earliest failing size) are identical to solving the sizes one by one.
-pub fn lp_k_sweep_sizes(instance: &Instance, sizes: &[usize]) -> Result<Vec<(usize, Time)>> {
+    let sizes = LpKConfig::PAPER_WINDOW_SIZES;
     let threads = if instance.len() < PARALLEL_SWEEP_MIN_TASKS {
         1
     } else {
-        // One worker per size, but never more than the machine offers —
-        // `sizes` is caller-controlled and may be long.
         sizes
             .len()
             .min(std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -120,8 +128,7 @@ mod tests {
     #[test]
     fn oversized_task_returns_error_instead_of_panicking() {
         // Construction rejects oversized tasks, but a deserialized instance
-        // bypasses it; the window simulator would otherwise drain its
-        // release queue and panic.
+        // bypasses it; the window solver must report it as a typed error.
         let json = r#"{
             "tasks": [
                 {"name": "ok", "comm_time": 1000, "comp_time": 1000, "mem": 2},
@@ -178,6 +185,21 @@ mod tests {
                 inst.label
             );
         }
+    }
+
+    #[test]
+    fn non_explicit_models_rejected() {
+        // The window solver only knows the half-duplex link: a trace stamped
+        // with another model must not be silently scheduled as explicit.
+        let inst = table3().with_model(ExecutionModel::Duplex).unwrap();
+        assert!(matches!(
+            lp_k(&inst, LpKConfig::default()),
+            Err(CoreError::InvalidExecutionModel(_))
+        ));
+        assert!(matches!(
+            lp_k_sweep(&inst),
+            Err(CoreError::InvalidExecutionModel(_))
+        ));
     }
 
     #[test]

@@ -42,14 +42,23 @@ pub struct WindowSolution {
     pub state: WindowState,
 }
 
+/// Largest window [`solve_window`] enumerates: the search is factorial in
+/// the window size.
+pub(crate) const MAX_WINDOW_TASKS: usize = 8;
+
 /// Simulates the execution of `order` (tasks of the window, same order on
 /// both resources) starting from `state`. Returns the produced entries and
 /// the resulting state.
-pub fn simulate_window(
+///
+/// # Errors
+///
+/// Returns [`CoreError::TaskExceedsCapacity`] for a task that can never
+/// fit in memory, however many releases it waits for.
+pub(crate) fn simulate_window(
     instance: &Instance,
     state: &WindowState,
     order: &[TaskId],
-) -> (Vec<ScheduleEntry>, WindowState) {
+) -> Result<(Vec<ScheduleEntry>, WindowState)> {
     let capacity = instance.capacity();
     let mut link_free = state.link_free;
     let mut cpu_free = state.cpu_free;
@@ -70,13 +79,15 @@ pub fn simulate_window(
             if held.saturating_add(task.mem) <= capacity {
                 break;
             }
-            let next_release = active
+            start = active
                 .iter()
                 .map(|(end, _)| *end)
                 .filter(|end| *end > start)
                 .min()
-                .expect("memory exceeded but nothing to release: task larger than capacity");
-            start = next_release;
+                .ok_or_else(|| CoreError::TaskExceedsCapacity {
+                    task: id,
+                    name: task.name.clone(),
+                })?;
         }
         let comm_start = start;
         let comm_end = comm_start + task.comm_time;
@@ -102,18 +113,8 @@ pub fn simulate_window(
             .filter(|(end, _)| *end > link_free)
             .collect(),
     };
-    (entries, state_after)
+    Ok((entries, state_after))
 }
-
-/// Window size at or above which [`solve_window`] fans the permutation
-/// enumeration out across threads. Below it (in particular for the paper's
-/// `k = 3..6`), the enumeration takes microseconds and thread spawning would
-/// dominate; at 7–8 tasks each first-task prefix carries 720–5040
-/// simulations, enough to amortize a scoped thread.
-pub const PARALLEL_WINDOW_MIN_TASKS: usize = 7;
-
-/// The best ordering found so far, with its comparison key.
-type BestOrder = (Time, Time, Vec<ScheduleEntry>, WindowState);
 
 /// Finds the best ordering of the window tasks by exhaustive enumeration
 /// (exact for the small windows used by `lp.k`). "Best" minimizes the
@@ -121,124 +122,65 @@ type BestOrder = (Time, Time, Vec<ScheduleEntry>, WindowState);
 /// completion time (earlier transfers leave more slack for the next window),
 /// then by enumeration order (first permutation found wins).
 ///
-/// Windows of at least [`PARALLEL_WINDOW_MIN_TASKS`] tasks are enumerated in
-/// parallel ([`solve_window_parallel`]) when the machine has more than one
-/// core, smaller ones (and single-core hosts) sequentially
-/// ([`solve_window_sequential`]); both return the same solution.
-pub fn solve_window(instance: &Instance, state: &WindowState, window: &[TaskId]) -> WindowSolution {
-    // Check the window size first: the paper's k = 3..6 windows always run
-    // sequentially, and querying the core count is a syscall that would
-    // otherwise be paid once per window across an entire `lp.k` run.
-    if window.len() >= PARALLEL_WINDOW_MIN_TASKS
-        && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1
-    {
-        solve_window_parallel(instance, state, window)
-    } else {
-        solve_window_sequential(instance, state, window)
-    }
-}
-
-/// Single-threaded permutation enumeration. Kept public as the reference
-/// implementation the parallel solver is pinned against.
-pub fn solve_window_sequential(
+/// # Errors
+///
+/// Returns [`CoreError::Infeasible`] for an empty window or one of more
+/// than 8 tasks, [`CoreError::UnknownTask`] for an id outside the
+/// instance, and [`CoreError::TaskExceedsCapacity`] for a task
+/// larger than the memory capacity.
+pub fn solve_window(
     instance: &Instance,
     state: &WindowState,
     window: &[TaskId],
-) -> WindowSolution {
-    assert_window_enumerable(window);
-    let mut best: Option<BestOrder> = None;
-    let mut order: Vec<TaskId> = window.to_vec();
-    permute(&mut order, 0, &mut |candidate| {
-        consider(instance, state, candidate, &mut best);
-    });
-    let (_, _, entries, state) = best.expect("window is non-empty");
-    WindowSolution { entries, state }
-}
-
-/// Parallel permutation enumeration: each first-task prefix of the window is
-/// enumerated on its own scoped thread, reproducing the sequential
-/// enumeration order inside the prefix; the per-prefix winners are then
-/// combined in prefix order under the same strict "better-than" rule, so the
-/// overall winner is the one [`solve_window_sequential`] would return —
-/// including which of several key-tied orderings is kept.
-pub fn solve_window_parallel(
-    instance: &Instance,
-    state: &WindowState,
-    window: &[TaskId],
-) -> WindowSolution {
-    assert_window_enumerable(window);
-    if window.len() <= 1 {
-        return solve_window_sequential(instance, state, window);
+) -> Result<WindowSolution> {
+    if window.is_empty() {
+        return Err(CoreError::Infeasible("window must not be empty".into()));
     }
-    let threads = window
-        .len()
-        .min(std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let per_prefix = dts_core::pool::run_indexed_pool(window.len(), threads, |first| {
-        let mut order: Vec<TaskId> = window.to_vec();
-        order.swap(0, first);
-        let mut best: Option<BestOrder> = None;
-        permute(&mut order, 1, &mut |candidate| {
-            consider(instance, state, candidate, &mut best);
-        });
-        Ok(best.expect("window is non-empty"))
-    })
-    // The jobs are infallible; only a panicked simulation (an oversized
-    // task that bypassed validation) lands here, and that panics the
-    // sequential solver too.
-    .unwrap_or_else(|e| panic!("window enumeration failed: {e}"));
-    let mut best: Option<BestOrder> = None;
-    for prefix_best in per_prefix {
-        if improves((prefix_best.0, prefix_best.1), &best) {
-            best = Some(prefix_best);
+    if window.len() > MAX_WINDOW_TASKS {
+        return Err(CoreError::Infeasible(format!(
+            "window of {} tasks is too large for exact enumeration (max {MAX_WINDOW_TASKS})",
+            window.len()
+        )));
+    }
+    for &id in window {
+        if id.index() >= instance.len() {
+            return Err(CoreError::UnknownTask(id));
         }
     }
-    let (_, _, entries, state) = best.expect("window is non-empty");
-    WindowSolution { entries, state }
+    let mut best: Option<(Vec<ScheduleEntry>, WindowState)> = None;
+    let mut order: Vec<TaskId> = window.to_vec();
+    permute(&mut order, 0, &mut |candidate| {
+        let (entries, after) = simulate_window(instance, state, candidate)?;
+        // Strictly better only: among key-tied orderings the first one
+        // enumerated wins.
+        let key = |s: &WindowState| (s.cpu_free, s.link_free);
+        if best.as_ref().is_none_or(|(_, b)| key(&after) < key(b)) {
+            best = Some((entries, after));
+        }
+        Ok(())
+    })?;
+    let (entries, state) = best.ok_or_else(|| {
+        CoreError::Internal("a non-empty window has at least one ordering".into())
+    })?;
+    Ok(WindowSolution { entries, state })
 }
 
-/// The strict "better-than" rule both solvers share: a candidate replaces
-/// the incumbent only when its key is strictly smaller, so among key-tied
-/// orderings the first one considered wins. The sequential enumeration and
-/// the prefix-ordered parallel merge both rely on this exact rule to return
-/// identical solutions.
-#[inline]
-fn improves(key: (Time, Time), best: &Option<BestOrder>) -> bool {
-    best.as_ref()
-        .is_none_or(|(cpu, link, _, _)| key < (*cpu, *link))
-}
-
-fn assert_window_enumerable(window: &[TaskId]) {
-    assert!(
-        window.len() <= 8,
-        "window enumeration is factorial; refusing windows larger than 8 tasks"
-    );
-}
-
-/// Simulates `candidate` and keeps it iff strictly better than `best` —
-/// ties keep the earlier enumeration, which both solvers rely on for
-/// identical results.
-fn consider(
-    instance: &Instance,
-    state: &WindowState,
-    candidate: &[TaskId],
-    best: &mut Option<BestOrder>,
-) {
-    let (entries, after) = simulate_window(instance, state, candidate);
-    if improves((after.cpu_free, after.link_free), best) {
-        *best = Some((after.cpu_free, after.link_free, entries, after));
-    }
-}
-
-fn permute<F: FnMut(&[TaskId])>(order: &mut Vec<TaskId>, k: usize, f: &mut F) {
+/// Calls `f` on every permutation of `order[k..]` (with `order[..k]` kept
+/// in place), stopping at the first error.
+fn permute<F: FnMut(&[TaskId]) -> Result<()>>(
+    order: &mut Vec<TaskId>,
+    k: usize,
+    f: &mut F,
+) -> Result<()> {
     if k == order.len() {
-        f(order);
-        return;
+        return f(order);
     }
     for i in k..order.len() {
         order.swap(k, i);
-        permute(order, k + 1, f);
+        permute(order, k + 1, f)?;
         order.swap(k, i);
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -251,8 +193,8 @@ mod tests {
     fn window_simulation_matches_sequence_executor_from_scratch() {
         let inst = table3();
         let order = inst.task_ids();
-        let (entries, after) = simulate_window(&inst, &WindowState::default(), &order);
-        let reference = simulate_sequence(&inst, &order).unwrap();
+        let (entries, after) = simulate_window(&inst, &WindowState::default(), &order).unwrap();
+        let reference = simulate_sequence(&inst, &order, inst.model()).unwrap();
         assert_eq!(entries, reference.entries());
         assert_eq!(after.cpu_free, reference.makespan(&inst));
     }
@@ -268,10 +210,10 @@ mod tests {
             pending_releases: vec![(Time::units_int(10), MemSize::from_bytes(5))],
         };
         // Task C (mem 4) cannot start before t = 10.
-        let (entries, _) = simulate_window(&inst, &state, &[TaskId(2)]);
+        let (entries, _) = simulate_window(&inst, &state, &[TaskId(2)]).unwrap();
         assert_eq!(entries[0].comm_start, Time::units_int(10));
         // Task B (mem 1) fits immediately at t = 4.
-        let (entries, _) = simulate_window(&inst, &state, &[TaskId(1)]);
+        let (entries, _) = simulate_window(&inst, &state, &[TaskId(1)]).unwrap();
         assert_eq!(entries[0].comm_start, Time::units_int(4));
     }
 
@@ -279,7 +221,7 @@ mod tests {
     fn solve_window_finds_the_best_order() {
         let inst = table3();
         let window = inst.task_ids();
-        let solution = solve_window(&inst, &WindowState::default(), &window);
+        let solution = solve_window(&inst, &WindowState::default(), &window).unwrap();
         // Exhaustive over the same executor: must be at least as good as any
         // fixed order.
         for order in [
@@ -287,17 +229,59 @@ mod tests {
             vec![TaskId(1), TaskId(2), TaskId(0), TaskId(3)],
             vec![TaskId(2), TaskId(1), TaskId(0), TaskId(3)],
         ] {
-            let reference = simulate_sequence(&inst, &order).unwrap();
+            let reference = simulate_sequence(&inst, &order, inst.model()).unwrap();
             assert!(solution.state.cpu_free <= reference.makespan(&inst));
         }
         assert_eq!(solution.entries.len(), 4);
     }
 
     #[test]
-    #[should_panic(expected = "refusing windows larger")]
+    fn empty_window_rejected() {
+        let inst = table3();
+        assert!(matches!(
+            solve_window(&inst, &WindowState::default(), &[]),
+            Err(CoreError::Infeasible(_))
+        ));
+    }
+
+    #[test]
     fn oversized_window_rejected() {
         let inst = table3();
         let window: Vec<TaskId> = (0..9).map(TaskId).collect();
-        let _ = solve_window(&inst, &WindowState::default(), &window);
+        assert!(matches!(
+            solve_window(&inst, &WindowState::default(), &window),
+            Err(CoreError::Infeasible(_))
+        ));
+    }
+
+    #[test]
+    fn unknown_task_rejected() {
+        let inst = table3();
+        assert_eq!(
+            solve_window(&inst, &WindowState::default(), &[TaskId(0), TaskId(7)]).unwrap_err(),
+            CoreError::UnknownTask(TaskId(7))
+        );
+    }
+
+    #[test]
+    fn task_larger_than_capacity_rejected() {
+        // Construction rejects oversized tasks, but a deserialized instance
+        // bypasses it.
+        let json = r#"{
+            "tasks": [
+                {"name": "ok", "comm_time": 1000, "comp_time": 1000, "mem": 2},
+                {"name": "huge", "comm_time": 2000, "comp_time": 1000, "mem": 9}
+            ],
+            "capacity": 4,
+            "label": "malformed"
+        }"#;
+        let inst: Instance = serde_json::from_str(json).unwrap();
+        assert_eq!(
+            solve_window(&inst, &WindowState::default(), &inst.task_ids()).unwrap_err(),
+            CoreError::TaskExceedsCapacity {
+                task: TaskId(1),
+                name: "huge".into(),
+            }
+        );
     }
 }

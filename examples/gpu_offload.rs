@@ -10,7 +10,7 @@
 use transfer_sched::chem::suite::{generate_partial_suite, SuiteConfig};
 use transfer_sched::chem::Kernel;
 use transfer_sched::ga::TransferModel;
-use transfer_sched::heuristics::{best_in_category, HeuristicCategory};
+use transfer_sched::heuristics::{run_heuristic, Heuristic, HeuristicCategory};
 use transfer_sched::prelude::*;
 
 fn main() {
@@ -41,8 +41,15 @@ fn main() {
         let ratios: Vec<f64> = HeuristicCategory::ALL
             .iter()
             .map(|&cat| {
-                best_in_category(&instance, cat)
-                    .expect("heuristics run")
+                Heuristic::in_category(cat)
+                    .into_iter()
+                    .map(|h| {
+                        run_heuristic(&instance, h)
+                            .expect("heuristics run")
+                            .makespan(&instance)
+                    })
+                    .min()
+                    .expect("every category has a heuristic")
                     .ratio(omim)
             })
             .collect();

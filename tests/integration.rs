@@ -72,6 +72,15 @@ fn trace_round_trip_through_json_preserves_experiment_results() {
     assert_eq!(original_rows, restored_rows);
 }
 
+/// Smallest makespan among the heuristics of `category`.
+fn category_best(instance: &Instance, category: HeuristicCategory) -> Time {
+    Heuristic::in_category(category)
+        .into_iter()
+        .map(|h| run_heuristic(instance, h).unwrap().makespan(instance))
+        .min()
+        .unwrap()
+}
+
 #[test]
 fn paper_shape_corrected_category_wins_at_moderate_capacity() {
     // Figs. 10 and 12: at moderate capacities the static-order-with-dynamic-
@@ -81,14 +90,8 @@ fn paper_shape_corrected_category_wins_at_moderate_capacity() {
         let trace = one_trace(kernel);
         let moderate = trace.to_instance_scaled(1.75).unwrap();
         let omim = johnson_makespan(&moderate);
-        let static_best =
-            transfer_sched::heuristics::best_in_category(&moderate, HeuristicCategory::Static)
-                .unwrap();
-        let corrected_best = transfer_sched::heuristics::best_in_category(
-            &moderate,
-            HeuristicCategory::StaticDynamic,
-        )
-        .unwrap();
+        let static_best = category_best(&moderate, HeuristicCategory::Static);
+        let corrected_best = category_best(&moderate, HeuristicCategory::StaticDynamic);
         // The paper's observation is an aggregate over 150 traces; on a
         // single small trace the larger static family (8 heuristics vs 3)
         // can edge ahead by several percent, so this integration test only
@@ -101,9 +104,7 @@ fn paper_shape_corrected_category_wins_at_moderate_capacity() {
         );
         let ample = trace.to_instance_scaled(16.0).unwrap();
         let ample_omim = johnson_makespan(&ample);
-        let ample_corrected =
-            transfer_sched::heuristics::best_in_category(&ample, HeuristicCategory::StaticDynamic)
-                .unwrap();
+        let ample_corrected = category_best(&ample, HeuristicCategory::StaticDynamic);
         assert_eq!(ample_corrected, ample_omim);
         let _ = omim;
     }
