@@ -1,10 +1,13 @@
 //! Corpus scale: generator throughput and scheduling throughput on the
 //! synthetic workload families.
 //!
-//! Two question the HF/CCSD benches cannot answer:
+//! Three questions the HF/CCSD benches cannot answer:
 //!
 //! * how fast do the `dts_workloads` generators themselves produce
-//!   traces at scale (they gate every corpus and property run), and
+//!   traces at scale (they gate every corpus and property run),
+//! * how fast does the one strict trace reader, `Trace::from_json`, read
+//!   a generated MD trace back (ingest dominates a `dts run` on a large
+//!   trace), and
 //! * how does the decision engine behave on the corpus *shapes* — the
 //!   near-uniform MD flood, the memory-cliff near-sequential regime, the
 //!   transfer-bound link-contention regime — rather than on the paper's
@@ -14,6 +17,7 @@
 //! `DTS_BENCH_SCALE_MAX` (tasks) to cap the largest tier attempted.
 
 use criterion::{criterion_group, Criterion};
+use dts_chem::Trace;
 use dts_core::ExecutionModel;
 use dts_heuristics::{run_heuristic_with, Heuristic};
 use dts_workloads::families::{generate_trace, GeneratorConfig, WorkloadFamily};
@@ -87,8 +91,20 @@ fn bench(c: &mut Criterion) {
                         .len()
                 })
             });
-            let instance = generate_trace(&config, 0)
-                .expect("seeded generation succeeds")
+            let trace = generate_trace(&config, 0).expect("seeded generation succeeds");
+            if family == WorkloadFamily::MdLike {
+                // Reader throughput: parse plus every strict check, on the
+                // many-small-tasks shape where ingest dominates a run.
+                let json = trace.to_json().expect("generated traces are written");
+                c.bench_function(&format!("corpus/read_{family}_{n_tasks}tasks"), |b| {
+                    b.iter(|| {
+                        Trace::from_json(&json)
+                            .expect("written traces read back")
+                            .len()
+                    })
+                });
+            }
+            let instance = trace
                 .to_instance_scaled(capacity_factor(family))
                 .expect("corpus factors are feasible");
             for heuristic in HEURISTICS {

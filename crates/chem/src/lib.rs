@@ -23,8 +23,10 @@
 //! * CCSD — strongly heterogeneous tasks, communications and computations
 //!   roughly balanced, `mc ≈ 1.8 GiB`.
 //!
-//! The crate also provides trace (de)serialization and the workload
-//! characterization used to regenerate Fig. 8.
+//! The crate also owns the [`Trace`] type with its one on-disk format,
+//! `dts-trace` v1 (a strict reader and a validating writer, see
+//! [`trace`]), and the workload characterization used to regenerate
+//! Fig. 8.
 
 #![warn(missing_docs)]
 

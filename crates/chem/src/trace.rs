@@ -1,18 +1,74 @@
-//! Trace model and (de)serialization.
+//! Trace model and its on-disk format, `dts-trace` v1.
 //!
 //! A *trace* is the per-process list of independent tasks the runtime
 //! scheduler sees: for every task, the time of its input-data transfer, the
 //! time of its computation and the memory its input data occupies. This is
 //! exactly the information the paper extracts from its NWChem runs.
+//!
+//! Traces have exactly one file format, written by [`Trace::to_json`] /
+//! [`Trace::save`] and read by [`Trace::from_json`] / [`Trace::load`]
+//! (and, for documents embedded in a larger JSON payload such as a daemon
+//! request, [`Trace::from_value`]):
+//!
+//! ```json
+//! {
+//!   "format": "dts-trace",
+//!   "version": 1,
+//!   "kernel": "MD",
+//!   "rank": 0,
+//!   "model": "streams:4",
+//!   "tasks": [
+//!     { "name": "md(0)", "kind": "Contraction",
+//!       "comm_micros": 104, "comp_micros": 52, "mem_bytes": 4301 }
+//!   ]
+//! }
+//! ```
+//!
+//! * `format` must be the literal `"dts-trace"` and `version` the integer
+//!   `1`; anything else — including a future version this build does not
+//!   know — is rejected, never half-read. A document without `format` is
+//!   an unversioned trace from an older build; regenerate it with
+//!   `dts generate` (generation is deterministic).
+//! * `model` is optional and uses the CLI spec syntax of
+//!   [`ExecutionModel::parse`] (`explicit`, `duplex`, `streams:<k>`,
+//!   `implicit[:<efficiency>]`).
+//! * `cost_model` is optional and embeds a full `dts-cost-model` file (or
+//!   the literal string `"analytic"`, which normalizes to absence); the
+//!   embedded model goes through the cost-model format's own strict
+//!   validation, surfacing as [`CoreError::InvalidCostModel`].
+//! * Every numeric field must be a non-negative JSON integer: floats
+//!   (including `1e30`-style notation), negative values and non-numeric
+//!   types are each rejected with a message naming the offending path.
+//! * Task names are the task identity, so they must be non-empty and
+//!   unique; the totals of `comm_micros + comp_micros` and of `mem_bytes`
+//!   must fit `u64`, because the simulators' tick/byte arithmetic does.
+//! * Unknown and repeated keys are rejected at every level, so a typo'd
+//!   field fails loudly instead of being ignored.
+//!
+//! Reader and writer share one semantic validator: every file the writer
+//! emits is accepted by the reader, and the round-trip is byte-identical. Malformed data always surfaces as
+//! [`CoreError::InvalidTrace`] (or [`CoreError::Serialization`] for broken
+//! JSON syntax / I/O) — never as a panic.
 
+use dts_core::perfmodel;
 use dts_core::prelude::*;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-use std::io::{Read, Write};
+use std::collections::HashSet;
+use std::fmt;
 use std::path::Path;
+
+/// The literal `format` marker of trace files.
+const FORMAT_NAME: &str = "dts-trace";
+/// The only format version this build reads and writes.
+const FORMAT_VERSION: u64 = 1;
+/// Hard ceiling on the number of tasks a trace may hold, so neither a
+/// typo'd generator argument nor a hostile file can ask for a terabyte of
+/// task records.
+pub const MAX_TASKS: usize = 10_000_000;
 
 /// Kind of tensor work a trace task performs (informational; the scheduling
 /// heuristics only look at times and memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Tensor contraction (block matrix multiplication).
     Contraction,
@@ -22,8 +78,28 @@ pub enum TaskKind {
     FusedTransposeContraction,
 }
 
+impl TaskKind {
+    /// The `kind` spelling of the trace format.
+    fn name(self) -> &'static str {
+        match self {
+            TaskKind::Contraction => "Contraction",
+            TaskKind::Transpose => "Transpose",
+            TaskKind::FusedTransposeContraction => "FusedTransposeContraction",
+        }
+    }
+
+    fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "Contraction" => Some(TaskKind::Contraction),
+            "Transpose" => Some(TaskKind::Transpose),
+            "FusedTransposeContraction" => Some(TaskKind::FusedTransposeContraction),
+            _ => None,
+        }
+    }
+}
+
 /// One task of a trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceTask {
     /// Task label (kernel and tile indices).
     pub name: String,
@@ -55,46 +131,6 @@ pub struct Trace {
     /// the trace's recorded durations verbatim. Applied by
     /// [`Trace::to_instance`].
     pub cost_model: Option<CostModelSpec>,
-}
-
-// Hand-written (de)serialization so the `model` key is omitted when absent
-// and optional when read: trace files written before the execution-model
-// layer existed keep loading unchanged.
-impl Serialize for Trace {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("kernel".to_string(), self.kernel.to_value()),
-            ("rank".to_string(), self.rank.to_value()),
-            ("tasks".to_string(), self.tasks.to_value()),
-        ];
-        if let Some(model) = &self.model {
-            fields.push(("model".to_string(), model.to_value()));
-        }
-        if let Some(cost_model) = &self.cost_model {
-            fields.push(("cost_model".to_string(), cost_model.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for Trace {
-    fn from_value(value: &Value) -> std::result::Result<Self, SerdeError> {
-        let model = match value.field("model") {
-            Ok(v) => Option::<ExecutionModel>::from_value(v)?,
-            Err(_) => None,
-        };
-        let cost_model = match value.field("cost_model") {
-            Ok(v) => Option::<CostModelSpec>::from_value(v)?.filter(|m| !m.is_analytic()),
-            Err(_) => None,
-        };
-        Ok(Trace {
-            kernel: Deserialize::from_value(value.field("kernel")?)?,
-            rank: Deserialize::from_value(value.field("rank")?)?,
-            tasks: Deserialize::from_value(value.field("tasks")?)?,
-            model,
-            cost_model,
-        })
-    }
 }
 
 impl Trace {
@@ -134,6 +170,54 @@ impl Trace {
                         task.name
                     ))
                 })?;
+        }
+        Ok(())
+    }
+
+    /// The semantic checks the reader and the writer share: whatever
+    /// passes here can be simulated, and whatever the writer emits reads
+    /// back. An explicit analytic cost model must be normalized to
+    /// absence, since the format has no spelling that reads back as it.
+    fn validate(&self) -> Result<()> {
+        if self.kernel.is_empty() {
+            return Err(invalid("kernel must be a non-empty string"));
+        }
+        if self.tasks.len() > MAX_TASKS {
+            return Err(invalid(format!(
+                "{} tasks, but traces are capped at {MAX_TASKS}",
+                self.tasks.len()
+            )));
+        }
+        let mut names = HashSet::with_capacity(self.tasks.len());
+        let mut total_mem: u64 = 0;
+        for (i, task) in self.tasks.iter().enumerate() {
+            if task.name.is_empty() {
+                return Err(invalid(format!("tasks[{i}].name must be non-empty")));
+            }
+            if !names.insert(task.name.as_str()) {
+                return Err(invalid(format!(
+                    "duplicate task name `{}` (tasks[{i}]); task names are the task identity",
+                    task.name
+                )));
+            }
+            total_mem = total_mem.checked_add(task.mem_bytes).ok_or_else(|| {
+                invalid(format!(
+                    "total mem_bytes overflows u64 at tasks[{i}] (`{}`)",
+                    task.name
+                ))
+            })?;
+        }
+        self.check_time_totals()?;
+        if let Some(model) = self.model {
+            model.validate()?;
+        }
+        if let Some(cost_model) = &self.cost_model {
+            cost_model.validate()?;
+            if cost_model.is_analytic() {
+                return Err(CoreError::InvalidCostModel(
+                    "an explicit analytic spec must be normalized to absence before writing".into(),
+                ));
+            }
         }
         Ok(())
     }
@@ -196,33 +280,309 @@ impl Trace {
         self.to_instance(self.min_capacity().scale(factor))
     }
 
-    /// Serializes the trace to JSON.
+    /// The trace's `dts-trace` document as a JSON tree, without the
+    /// semantic validation: a daemon request embeds it as-is, and the
+    /// receiving [`Trace::from_value`] validates it. Files go through
+    /// [`Trace::to_json`], which validates first.
+    pub fn to_value(&self) -> Value {
+        let mut fields = vec![
+            ("format".to_string(), Value::Str(FORMAT_NAME.to_string())),
+            ("version".to_string(), Value::UInt(FORMAT_VERSION)),
+            ("kernel".to_string(), Value::Str(self.kernel.clone())),
+            ("rank".to_string(), Value::UInt(self.rank as u64)),
+        ];
+        if let Some(model) = self.model {
+            fields.push(("model".to_string(), Value::Str(model.to_string())));
+        }
+        if let Some(cost_model) = &self.cost_model {
+            fields.push(("cost_model".to_string(), cost_model.to_value()));
+        }
+        let tasks = self
+            .tasks
+            .iter()
+            .map(|t| {
+                Value::Object(vec![
+                    ("name".to_string(), Value::Str(t.name.clone())),
+                    ("kind".to_string(), Value::Str(t.kind.name().to_string())),
+                    ("comm_micros".to_string(), Value::UInt(t.comm_micros)),
+                    ("comp_micros".to_string(), Value::UInt(t.comp_micros)),
+                    ("mem_bytes".to_string(), Value::UInt(t.mem_bytes)),
+                ])
+            })
+            .collect();
+        fields.push(("tasks".to_string(), Value::Array(tasks)));
+        Value::Object(fields)
+    }
+
+    /// Serializes the trace as a `dts-trace` v1 document (pretty JSON).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidTrace`] for an empty kernel, more than
+    /// [`MAX_TASKS`] tasks, an empty or repeated task name, or overflowing
+    /// time or memory totals; [`CoreError::InvalidExecutionModel`] and
+    /// [`CoreError::InvalidCostModel`] for a malformed stamped model. The
+    /// reader refuses exactly these, so they never reach disk.
     pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string_pretty(self).map_err(|e| CoreError::Serialization(e.to_string()))
-    }
-
-    /// Deserializes a trace from JSON.
-    pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json).map_err(|e| CoreError::Serialization(e.to_string()))
-    }
-
-    /// Writes the trace as JSON to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let mut file =
-            std::fs::File::create(path).map_err(|e| CoreError::Serialization(e.to_string()))?;
-        file.write_all(self.to_json()?.as_bytes())
+        self.validate()?;
+        serde_json::to_string_pretty(&Document(self))
             .map_err(|e| CoreError::Serialization(e.to_string()))
     }
 
-    /// Reads a trace from a JSON file.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        let mut file =
-            std::fs::File::open(path).map_err(|e| CoreError::Serialization(e.to_string()))?;
-        let mut contents = String::new();
-        file.read_to_string(&mut contents)
-            .map_err(|e| CoreError::Serialization(e.to_string()))?;
-        Self::from_json(&contents)
+    /// Parses and strictly validates a `dts-trace` v1 document.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Serialization`] for broken JSON syntax, and otherwise
+    /// the errors of [`Trace::from_value`].
+    pub fn from_json(json: &str) -> Result<Self> {
+        let Parsed(trace) =
+            serde_json::from_str(json).map_err(|e| CoreError::Serialization(e.to_string()))?;
+        trace
     }
+
+    /// Strictly reads a `dts-trace` v1 document from an already-parsed
+    /// JSON tree (see the module docs for the rules).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidTrace`] for every shape or semantic violation —
+    /// including an unversioned document, which names the missing
+    /// `format` key; [`CoreError::InvalidExecutionModel`] and
+    /// [`CoreError::InvalidCostModel`] for a malformed stamped model.
+    pub fn from_value(value: &Value) -> Result<Self> {
+        let [format, version, kernel, rank, model, cost_model, tasks] =
+            keyed(value, &TRACE_KEYS, At::File)?;
+        if format.is_none() {
+            return Err(invalid(
+                "trace file is missing required key `format`: it is an unversioned trace, \
+                 which this build does not read; regenerate it with `dts generate`",
+            ));
+        }
+        let format = string(format, "format", At::File)?;
+        if format != FORMAT_NAME {
+            return Err(invalid(format!(
+                "format is `{format}`, expected `{FORMAT_NAME}` (is this a trace file?)"
+            )));
+        }
+        let version = uint(version, "version", At::File)?;
+        if version != FORMAT_VERSION {
+            return Err(invalid(format!(
+                "unsupported format version {version}; this build reads version {FORMAT_VERSION} only"
+            )));
+        }
+        let kernel = string(kernel, "kernel", At::File)?.to_string();
+        let rank = uint(rank, "rank", At::File)?;
+        let rank = usize::try_from(rank)
+            .map_err(|_| invalid(format!("rank {rank} does not fit this platform's usize")))?;
+        let model = match model {
+            None => None,
+            Some(Value::Str(spec)) => Some(ExecutionModel::parse(spec)?),
+            Some(other) => {
+                return Err(invalid(format!(
+                    "model must be a spec string like \"streams:4\", got {}",
+                    other.kind()
+                )))
+            }
+        };
+        let cost_model = match cost_model {
+            None => None,
+            Some(Value::Str(s)) if s == "analytic" => None,
+            Some(value) => Some(perfmodel::model_from_value(value)?),
+        };
+        let tasks = match required(tasks, "tasks", At::File)? {
+            Value::Array(items) => items,
+            other => {
+                return Err(invalid(format!(
+                    "tasks must be an array, got {}",
+                    other.kind()
+                )))
+            }
+        };
+        let tasks = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, item)| task_from_value(item, i))
+            .collect::<Result<Vec<_>>>()?;
+        let trace = Trace {
+            kernel,
+            rank,
+            tasks,
+            model,
+            cost_model,
+        };
+        trace.validate()?;
+        Ok(trace)
+    }
+
+    /// Writes the trace to `path` as a `dts-trace` v1 document.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Trace::to_json`], and [`CoreError::Serialization`]
+    /// for I/O failures.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
+        let json = self.to_json()?;
+        std::fs::write(path, json).map_err(|e| CoreError::Serialization(e.to_string()))
+    }
+
+    /// Reads and strictly validates a `dts-trace` v1 file.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Trace::from_json`], and [`CoreError::Serialization`]
+    /// for I/O failures.
+    pub fn load(path: impl AsRef<Path>) -> Result<Self> {
+        let json =
+            std::fs::read_to_string(path).map_err(|e| CoreError::Serialization(e.to_string()))?;
+        Self::from_json(&json)
+    }
+}
+
+fn invalid(msg: impl Into<String>) -> CoreError {
+    CoreError::InvalidTrace(msg.into())
+}
+
+/// Hands [`Trace::to_value`]'s tree to the JSON renderer by value (the
+/// renderer's `Value` impl would clone the whole tree first).
+struct Document<'a>(&'a Trace);
+
+impl Serialize for Document<'_> {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+/// Runs the strict walk on the JSON parser's own tree (decoding into a
+/// `Value` would clone the whole tree first) and carries its typed result
+/// through the serde error channel untouched.
+struct Parsed(Result<Trace>);
+
+impl Deserialize for Parsed {
+    fn from_value(value: &Value) -> std::result::Result<Self, SerdeError> {
+        Ok(Parsed(Trace::from_value(value)))
+    }
+}
+
+const TRACE_KEYS: [&str; 7] = [
+    "format",
+    "version",
+    "kernel",
+    "rank",
+    "model",
+    "cost_model",
+    "tasks",
+];
+const TASK_KEYS: [&str; 5] = ["name", "kind", "comm_micros", "comp_micros", "mem_bytes"];
+
+/// Where in the document a value sits; rendered into a path only when an
+/// error is reported, so the success path never formats one.
+#[derive(Clone, Copy)]
+enum At {
+    File,
+    Task(usize),
+}
+
+impl At {
+    fn path(self, key: &str) -> String {
+        match self {
+            At::File => key.to_string(),
+            At::Task(i) => format!("tasks[{i}].{key}"),
+        }
+    }
+}
+
+impl fmt::Display for At {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            At::File => f.write_str("trace file"),
+            At::Task(i) => write!(f, "tasks[{i}]"),
+        }
+    }
+}
+
+/// Splits an object into one slot per allowed key, in the order of
+/// `keys`. Filling a slot twice is a repeated key; a key outside `keys`
+/// is an unknown one.
+fn keyed<'v, const N: usize>(
+    value: &'v Value,
+    keys: &[&str; N],
+    at: At,
+) -> Result<[Option<&'v Value>; N]> {
+    let Value::Object(fields) = value else {
+        return Err(invalid(format!(
+            "{at} must be an object, got {}",
+            value.kind()
+        )));
+    };
+    let mut slots = [None; N];
+    for (key, item) in fields {
+        let Some(slot) = keys.iter().position(|k| k == key) else {
+            return Err(invalid(format!(
+                "{at} has unknown key `{key}`; allowed keys are {}",
+                keys.join(", ")
+            )));
+        };
+        if slots[slot].replace(item).is_some() {
+            return Err(invalid(format!("{at} repeats key `{key}`")));
+        }
+    }
+    Ok(slots)
+}
+
+fn required<'v>(slot: Option<&'v Value>, key: &str, at: At) -> Result<&'v Value> {
+    slot.ok_or_else(|| invalid(format!("{at} is missing required key `{key}`")))
+}
+
+fn string<'v>(slot: Option<&'v Value>, key: &str, at: At) -> Result<&'v str> {
+    match required(slot, key, at)? {
+        Value::Str(s) => Ok(s),
+        other => Err(invalid(format!(
+            "{} must be a string, got {}",
+            at.path(key),
+            other.kind()
+        ))),
+    }
+}
+
+/// Reads a required non-negative integer, classifying each wrong shape:
+/// floats (the JSON parser yields [`Value::Float`] for `1.5`, `1e30`
+/// etc.), negative integers, and non-numbers all get their own message
+/// naming the path.
+fn uint(slot: Option<&Value>, key: &str, at: At) -> Result<u64> {
+    match required(slot, key, at)? {
+        Value::UInt(n) => Ok(*n),
+        Value::Int(n) => Err(invalid(format!("{} is negative ({n})", at.path(key)))),
+        Value::Float(x) => Err(invalid(format!(
+            "{} must be a non-negative integer, got non-integer number {x}",
+            at.path(key)
+        ))),
+        other => Err(invalid(format!(
+            "{} must be a non-negative integer, got {}",
+            at.path(key),
+            other.kind()
+        ))),
+    }
+}
+
+fn task_from_value(value: &Value, i: usize) -> Result<TraceTask> {
+    let at = At::Task(i);
+    let [name, kind, comm, comp, mem] = keyed(value, &TASK_KEYS, at)?;
+    let name = string(name, "name", at)?.to_string();
+    let kind = string(kind, "kind", at)?;
+    let kind = TaskKind::from_name(kind).ok_or_else(|| {
+        invalid(format!(
+            "{at}.kind is `{kind}`; expected one of Contraction, Transpose, \
+             FusedTransposeContraction"
+        ))
+    })?;
+    Ok(TraceTask {
+        name,
+        kind,
+        comm_micros: uint(comm, "comm_micros", at)?,
+        comp_micros: uint(comp, "comp_micros", at)?,
+        mem_bytes: uint(mem, "mem_bytes", at)?,
+    })
 }
 
 #[cfg(test)]
@@ -410,5 +770,235 @@ mod tests {
         assert_eq!(trace, back);
         std::fs::remove_file(&path).ok();
         assert!(Trace::load(dir.join("missing.json")).is_err());
+    }
+
+    #[test]
+    fn export_import_round_trips_byte_identically() {
+        let mut trace = sample();
+        for model in [None, Some(ExecutionModel::Streams { k: 4 })] {
+            trace.model = model;
+            let json = trace.to_json().unwrap();
+            let back = Trace::from_json(&json).unwrap();
+            assert_eq!(back, trace);
+            assert_eq!(back.to_json().unwrap(), json, "re-export changed bytes");
+        }
+    }
+
+    #[test]
+    fn embedded_cost_models_round_trip_and_validate() {
+        use dts_core::perfmodel::{LinearFit, RegressionModel, PS_PER_MICRO};
+
+        let mut trace = sample();
+        trace.cost_model = Some(CostModelSpec::Regression(
+            RegressionModel::new(
+                vec![(
+                    LinkClass::HostToDevice,
+                    LinearFit {
+                        alpha_us: 3,
+                        beta_ps_per_byte: PS_PER_MICRO,
+                        samples: 4,
+                    },
+                )],
+                vec![(
+                    ComputeBackend::Cpu,
+                    LinearFit {
+                        alpha_us: 9,
+                        beta_ps_per_byte: 0,
+                        samples: 4,
+                    },
+                )],
+            )
+            .unwrap(),
+        ));
+        let json = trace.to_json().unwrap();
+        let back = Trace::from_json(&json).unwrap();
+        assert_eq!(back, trace);
+        assert_eq!(back.to_json().unwrap(), json, "re-export changed bytes");
+
+        // The literal string "analytic" normalizes to absence.
+        let plain_json = sample().to_json().unwrap().replacen(
+            "\"tasks\"",
+            "\"cost_model\": \"analytic\",\n  \"tasks\"",
+            1,
+        );
+        assert_eq!(Trace::from_json(&plain_json).unwrap().cost_model, None);
+
+        // A malformed embedded model is a typed InvalidCostModel. The outer
+        // version stays 1; only the embedded model's version is corrupted
+        // (the embedded object is the second `"version"` occurrence).
+        let idx = json.rfind("\"version\": 1").unwrap();
+        let mut broken = json.clone();
+        broken.replace_range(idx.."\"version\": 1".len() + idx, "\"version\": 7");
+        assert!(matches!(
+            Trace::from_json(&broken),
+            Err(CoreError::InvalidCostModel(_))
+        ));
+    }
+
+    #[test]
+    fn syntax_errors_are_serialization_semantic_errors_invalid_trace() {
+        assert!(matches!(
+            Trace::from_json("{ not json"),
+            Err(CoreError::Serialization(_))
+        ));
+        assert!(matches!(
+            Trace::from_json("[1, 2]"),
+            Err(CoreError::InvalidTrace(_))
+        ));
+    }
+
+    fn reject(json: &str, needle: &str) {
+        match Trace::from_json(json) {
+            Err(CoreError::InvalidTrace(msg)) => assert!(
+                msg.contains(needle),
+                "message `{msg}` does not mention `{needle}`"
+            ),
+            other => panic!("expected InvalidTrace mentioning `{needle}`, got {other:?}"),
+        }
+    }
+
+    fn valid_with_tasks(tasks_json: &str) -> String {
+        format!(
+            r#"{{"format": "dts-trace", "version": 1, "kernel": "MD", "rank": 0, "tasks": {tasks_json}}}"#
+        )
+    }
+
+    fn task(name: &str, comm: &str, comp: &str, mem: &str) -> String {
+        format!(
+            r#"{{"name": "{name}", "kind": "Contraction", "comm_micros": {comm}, "comp_micros": {comp}, "mem_bytes": {mem}}}"#
+        )
+    }
+
+    #[test]
+    fn every_malformed_class_is_rejected_with_a_typed_error() {
+        // Envelope violations; an unversioned document names the missing
+        // key and the way out.
+        reject(
+            r#"{"kernel": "MD", "rank": 0, "tasks": []}"#,
+            "missing required key `format`",
+        );
+        reject(
+            r#"{"kernel": "MD", "rank": 0, "tasks": []}"#,
+            "regenerate it with `dts generate`",
+        );
+        reject(
+            &valid_with_tasks("[]").replace("dts-trace", "dts-schedule"),
+            "dts-trace",
+        );
+        reject(
+            &valid_with_tasks("[]").replace("\"version\": 1", "\"version\": 2"),
+            "unsupported format version 2",
+        );
+        reject(
+            &valid_with_tasks("[]").replace("\"version\": 1", "\"version\": 1.0"),
+            "non-integer",
+        );
+        reject(
+            &valid_with_tasks("[]").replace("\"rank\": 0", "\"rank\": -1"),
+            "negative",
+        );
+        reject(
+            &valid_with_tasks("[]").replace("\"kernel\": \"MD\"", "\"kernel\": \"\""),
+            "kernel",
+        );
+        reject(
+            &valid_with_tasks("[]").replace("\"rank\": 0", "\"rank\": 0, \"extra\": 1"),
+            "unknown key `extra`",
+        );
+        reject(
+            &valid_with_tasks("[]").replace("\"rank\": 0", "\"rank\": 0, \"rank\": 1"),
+            "repeats key `rank`",
+        );
+        // Task-field violations.
+        reject(
+            &valid_with_tasks(&format!("[{}]", task("t", "1.5", "1", "1"))),
+            "tasks[0].comm_micros",
+        );
+        reject(
+            &valid_with_tasks(&format!("[{}]", task("t", "1", "-3", "1"))),
+            "negative",
+        );
+        reject(
+            &valid_with_tasks(&format!("[{}]", task("t", "1", "1", "1e30"))),
+            "non-integer",
+        );
+        reject(
+            &valid_with_tasks(&format!("[{}]", task("", "1", "1", "1"))),
+            "name",
+        );
+        reject(
+            &valid_with_tasks(&format!(
+                "[{}]",
+                task("t", "1", "1", "1").replace("\"mem_bytes\"", "\"extra\": 0, \"mem_bytes\"")
+            )),
+            "tasks[0] has unknown key `extra`",
+        );
+        reject(
+            &valid_with_tasks(&format!(
+                "[{}, {}]",
+                task("dup", "1", "1", "1"),
+                task("dup", "2", "2", "2")
+            )),
+            "duplicate task name `dup`",
+        );
+        reject(
+            &valid_with_tasks(&format!(
+                "[{}]",
+                task("t", "1", "1", "1").replace("Contraction", "Convolution")
+            )),
+            "Convolution",
+        );
+        // Overflowing totals.
+        let half = format!("{}", u64::MAX / 2 + 1);
+        reject(
+            &valid_with_tasks(&format!("[{}]", task("t", &half, &half, "1"))),
+            "overflows",
+        );
+        reject(
+            &valid_with_tasks(&format!(
+                "[{}, {}]",
+                task("a", "1", "1", &half),
+                task("b", "1", "1", &half)
+            )),
+            "mem_bytes overflows",
+        );
+        // Malformed model spec surfaces through ExecutionModel::parse.
+        let with_model =
+            valid_with_tasks("[]").replace("\"rank\": 0", "\"rank\": 0, \"model\": \"streams:0\"");
+        assert!(matches!(
+            Trace::from_json(&with_model),
+            Err(CoreError::InvalidExecutionModel(_))
+        ));
+    }
+
+    #[test]
+    fn export_refuses_semantically_broken_traces() {
+        let mut trace = sample();
+        let first = trace.tasks[0].name.clone();
+        trace.tasks[1].name = first;
+        assert!(matches!(trace.to_json(), Err(CoreError::InvalidTrace(_))));
+        let mut trace = sample();
+        trace.kernel.clear();
+        assert!(matches!(trace.to_json(), Err(CoreError::InvalidTrace(_))));
+        let mut trace = sample();
+        trace.tasks[0].name.clear();
+        let path = std::env::temp_dir().join(format!("dts-refused-{}.json", std::process::id()));
+        assert!(matches!(trace.save(&path), Err(CoreError::InvalidTrace(_))));
+        assert!(!path.exists(), "a refused trace reached disk");
+    }
+
+    #[test]
+    fn file_round_trip_and_missing_files() {
+        let dir = std::env::temp_dir().join(format!("dts-chem-format-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.dts.json");
+        let trace = sample();
+        trace.save(&path).unwrap();
+        assert_eq!(Trace::load(&path).unwrap(), trace);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(matches!(
+            Trace::load(dir.join("missing.json")),
+            Err(CoreError::Serialization(_))
+        ));
     }
 }

@@ -3,7 +3,8 @@
 //! Subcommands:
 //!
 //! * `dts generate <kernel-or-family> <dir> [n_ranks]` — generate a trace
-//!   suite and write one JSON trace file per rank. Besides the chemistry
+//!   suite and write one `dts-trace` v1 file per rank (the only trace
+//!   format every other subcommand reads). Besides the chemistry
 //!   kernels `hf` and `ccsd`, the synthetic corpus families of
 //!   `dts_workloads` are accepted (`md`, `dense-la`, `tie-heavy`,
 //!   `memory-cliff`, `transfer-bound`) with `--tasks <n>`, `--seed <s>`
@@ -18,9 +19,6 @@
 //!   carries;
 //! * `dts sweep <trace.json>` — run every heuristic across the paper's
 //!   capacity sweep and print CSV rows;
-//! * `dts trace export <trace.json> <out.json>` — convert a trace to the
-//!   versioned on-disk format; `dts trace import <versioned.json>
-//!   <out.json>` — strictly validate a versioned file and convert it back;
 //! * `dts calibrate <trace.json>... [--backend <b>] [--out <file>]` — fit
 //!   a cost model (regression or history) to the observed per-task
 //!   durations of one or more traces, print a residual report, and
@@ -53,7 +51,6 @@ use dts_heuristics::{run_heuristic, Heuristic};
 use dts_server::{Client, Server, ServerConfig, SolveRequest, TraceSource};
 use dts_workloads::corpus;
 use dts_workloads::families::{generate_trace, GeneratorConfig, WorkloadFamily};
-use dts_workloads::format;
 use serde::{Deserialize, Value};
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -132,7 +129,6 @@ fn main() -> ExitCode {
         Some("characterize") => cmd_characterize(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
         Some("calibrate") => cmd_calibrate(&args[1..]),
         Some("corpus") => cmd_corpus(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
@@ -168,12 +164,10 @@ fn usage() -> String {
         "usage: dts <command>\n\
          \n\
          commands:\n\
-         \x20 generate <source> <dir> [n_ranks]     generate a trace suite as JSON files\n\
+         \x20 generate <source> <dir> [n_ranks]     generate a trace suite as dts-trace v1 files\n\
          \x20 characterize <trace.json>             print the workload characterization\n\
          \x20 run <trace.json> <heuristic> [factor] run one heuristic at factor x mc\n\
          \x20 sweep <trace.json>                    run all heuristics across the capacity sweep (CSV)\n\
-         \x20 trace export <trace.json> <out.json>  convert a trace to the versioned on-disk format\n\
-         \x20 trace import <in.json> <out.json>     strictly validate a versioned trace file\n\
          \x20 calibrate <trace.json>...             fit a cost model to observed task durations\n\
          \x20 corpus [--update-golden]              run the golden-metric scenario suite\n\
          \x20 serve [--addr <host:port>]            run the scheduling daemon\n\
@@ -372,47 +366,6 @@ fn generate_family_suite(
         );
     }
     println!("generated {n_ranks} {family} ranks in {dir}");
-    Ok(())
-}
-
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let (verb, input, output) = match (args.first(), args.get(1), args.get(2)) {
-        (Some(verb), Some(input), Some(output)) if args.len() == 3 => {
-            (verb.as_str(), input, output)
-        }
-        _ => return Err("usage: dts trace <import|export> <input.json> <output.json>".into()),
-    };
-    match verb {
-        "export" => {
-            // Accept what `dts generate` writes, re-emit versioned.
-            let trace = load_trace(input)?;
-            format::export_file(&trace, output)
-                .map_err(|e| format!("cannot export {input}: {e}"))?;
-            println!(
-                "exported {input} -> {output} (dts-trace v{}, {} tasks)",
-                format::FORMAT_VERSION,
-                trace.len()
-            );
-        }
-        "import" => {
-            // Strictly validate the versioned file, re-emit what the rest
-            // of the toolchain (`dts run`, `dts sweep`) reads.
-            let trace =
-                format::import_file(input).map_err(|e| format!("cannot import {input}: {e}"))?;
-            trace.save(output).map_err(|e| e.to_string())?;
-            println!(
-                "imported {input} -> {output} ({} tasks, kernel {}, mc = {})",
-                trace.len(),
-                trace.kernel,
-                trace.min_capacity()
-            );
-        }
-        other => {
-            return Err(format!(
-                "unknown trace subcommand '{other}'; expected 'import' or 'export'"
-            ))
-        }
-    }
     Ok(())
 }
 
@@ -815,6 +768,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         "overlap fraction   {:.1} %",
         100.0 * metrics.overlap_fraction()
     );
+    println!("comm idle          {} us", metrics.comm_idle.ticks());
+    println!("comp idle          {} us", metrics.comp_idle.ticks());
     Ok(())
 }
 

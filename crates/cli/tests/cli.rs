@@ -10,6 +10,13 @@
 //!   `n_ranks` to the topology size — a request for 500 ranks quietly
 //!   wrote 150 files and exited 0.
 
+mod common;
+
+use common::spawn_daemon;
+use dts_chem::Trace;
+use dts_core::metrics::ScheduleMetrics;
+use dts_core::ExecutionModel;
+use dts_heuristics::{run_heuristic, Heuristic};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -240,7 +247,7 @@ fn generate_stamps_the_model_into_trace_files() {
     assert!(output.status.success(), "stderr: {}", stderr(&output));
     let json = std::fs::read_to_string(scratch.path().join("hf-rank000.json")).unwrap();
     assert!(
-        json.contains("\"model\"") && json.contains("Streams"),
+        json.contains("\"model\": \"streams:3\""),
         "model not stamped: {json:?}"
     );
     // A stamped trace runs under its model without repeating the flag.
@@ -284,9 +291,11 @@ fn usage_enumerates_every_generator_source() {
     for source in ["hf", "ccsd"].iter().chain(FAMILIES.iter()) {
         assert!(usage.contains(source), "usage does not list '{source}'");
     }
-    for command in ["trace export", "trace import", "corpus"] {
+    for command in ["generate", "run", "sweep", "calibrate", "corpus", "request"] {
         assert!(usage.contains(command), "usage does not list '{command}'");
     }
+    // One trace format: there is nothing left to import or export.
+    assert!(!usage.contains("trace import") && !usage.contains("trace export"));
 }
 
 #[test]
@@ -361,115 +370,176 @@ fn generate_rejects_invalid_family_parameters() {
     assert_eq!(std::fs::read_dir(scratch.path()).unwrap().count(), 0);
 }
 
-#[test]
-fn every_family_round_trips_through_export_import_under_every_model() {
-    // generate → trace export → trace import must reproduce the generated
-    // file byte for byte, and running the re-imported trace must produce
-    // the identical schedule report.
-    let scratch = ScratchDir::new("family-round-trip");
-    for family in FAMILIES {
-        for model in ["explicit", "duplex", "streams:4", "implicit"] {
-            let dir = scratch
-                .path()
-                .join(format!("{family}-{}", model.replace(':', "_")));
-            let dir_str = dir.to_str().unwrap();
-            let output = dts(&[
-                "generate", family, dir_str, "1", "--tasks", "40", "--seed", "5", "--model", model,
-            ]);
-            assert!(
-                output.status.success(),
-                "generate {family} --model {model}: {}",
-                stderr(&output)
-            );
-            let generated = dir.join(format!("{family}-rank000.json"));
-            let versioned = dir.join("versioned.json");
-            let reimported = dir.join("reimported.json");
-            let output = dts(&[
-                "trace",
-                "export",
-                generated.to_str().unwrap(),
-                versioned.to_str().unwrap(),
-            ]);
-            assert!(output.status.success(), "export: {}", stderr(&output));
-            assert!(
-                std::fs::read_to_string(&versioned)
-                    .unwrap()
-                    .contains("\"format\": \"dts-trace\""),
-                "export did not write the versioned format"
-            );
-            let output = dts(&[
-                "trace",
-                "import",
-                versioned.to_str().unwrap(),
-                reimported.to_str().unwrap(),
-            ]);
-            assert!(output.status.success(), "import: {}", stderr(&output));
-            assert_eq!(
-                std::fs::read(&generated).unwrap(),
-                std::fs::read(&reimported).unwrap(),
-                "{family} --model {model}: round trip is not byte-identical"
-            );
-            let run_original = dts(&["run", generated.to_str().unwrap(), "LCMR", "1.5"]);
-            let run_back = dts(&["run", reimported.to_str().unwrap(), "LCMR", "1.5"]);
-            assert!(run_original.status.success(), "{}", stderr(&run_original));
-            assert!(run_back.status.success(), "{}", stderr(&run_back));
-            assert_eq!(
-                stdout(&run_original),
-                stdout(&run_back),
-                "{family} --model {model}: schedules differ after the round trip"
-            );
-        }
-    }
+/// A `dts-trace` v1 document with the given kernel and task objects.
+fn trace_json(kernel: &str, tasks: &[&str]) -> String {
+    format!(
+        r#"{{"format": "dts-trace", "version": 1, "kernel": "{kernel}", "rank": 0, "tasks": [{}]}}"#,
+        tasks.join(", ")
+    )
 }
 
 #[test]
 fn trace_import_rejects_malformed_files_cleanly() {
+    // Every door that reads a trace file — `dts run` and `dts request` —
+    // rejects each malformed class with a typed error, never a panic.
     let scratch = ScratchDir::new("trace-import-malformed");
-    let out = scratch.path().join("out.json");
-    let cases: &[(&str, &str)] = &[
-        ("unversioned", r#"{"kernel": "HF", "rank": 0, "tasks": []}"#),
+    let daemon = spawn_daemon();
+    let task = |name: &str| {
+        format!(
+            r#"{{"name": "{name}", "kind": "Contraction", "comm_micros": 1, "comp_micros": 1, "mem_bytes": 1}}"#
+        )
+    };
+    let cases: Vec<(&str, String)> = vec![
+        (
+            "unversioned",
+            format!(r#"{{"kernel": "HF", "rank": 0, "tasks": [{}]}}"#, task("t")),
+        ),
         (
             "future-version",
-            r#"{"format": "dts-trace", "version": 99, "kernel": "HF", "rank": 0, "tasks": []}"#,
+            trace_json("HF", &[&task("t")]).replace(r#""version": 1"#, r#""version": 99"#),
         ),
         (
             "float-time",
-            r#"{"format": "dts-trace", "version": 1, "kernel": "HF", "rank": 0, "tasks": [{"name": "t", "kind": "Contraction", "comm_micros": 1.5, "comp_micros": 1, "mem_bytes": 1}]}"#,
+            trace_json(
+                "HF",
+                &[&task("t").replace(r#""comm_micros": 1"#, r#""comm_micros": 1.5"#)],
+            ),
         ),
         (
             "negative-memory",
-            r#"{"format": "dts-trace", "version": 1, "kernel": "HF", "rank": 0, "tasks": [{"name": "t", "kind": "Contraction", "comm_micros": 1, "comp_micros": 1, "mem_bytes": -4}]}"#,
+            trace_json(
+                "HF",
+                &[&task("t").replace(r#""mem_bytes": 1"#, r#""mem_bytes": -4"#)],
+            ),
         ),
+        ("duplicate-ids", trace_json("HF", &[&task("t"), &task("t")])),
         (
-            "duplicate-ids",
-            r#"{"format": "dts-trace", "version": 1, "kernel": "HF", "rank": 0, "tasks": [{"name": "t", "kind": "Contraction", "comm_micros": 1, "comp_micros": 1, "mem_bytes": 1}, {"name": "t", "kind": "Contraction", "comm_micros": 2, "comp_micros": 2, "mem_bytes": 2}]}"#,
+            "duplicate-name-and-unknown-key",
+            trace_json(
+                "HF",
+                &[
+                    &task("t"),
+                    &task("t").replace(r#""kind""#, r#""colour": "red", "kind""#),
+                ],
+            ),
         ),
-        ("truncated", r#"{"format": "dts-trace", "ver"#),
+        ("empty-kernel", trace_json("", &[&task("t")])),
+        ("empty-task-name", trace_json("HF", &[&task("")])),
+        ("truncated", r#"{"format": "dts-trace", "ver"#.to_string()),
     ];
-    for (label, json) in cases {
+    for (label, json) in &cases {
         let path = scratch.path().join(format!("{label}.json"));
         std::fs::write(&path, json).unwrap();
-        let output = dts(&[
-            "trace",
-            "import",
-            path.to_str().unwrap(),
-            out.to_str().unwrap(),
-        ]);
-        assert_eq!(
-            output.status.code(),
-            Some(1),
-            "{label} should exit 1, got {:?}",
-            output.status
-        );
-        let message = stderr(&output);
-        assert!(
-            message.contains("error:") && !message.contains("panicked"),
-            "{label}: unexpected diagnostic {message:?}"
-        );
-        assert!(
-            !out.exists(),
-            "{label}: import wrote output despite failing"
-        );
+        let path = path.to_str().unwrap();
+        for (door, output) in [
+            ("run", dts(&["run", path, "OS", "1.5"])),
+            (
+                "request",
+                dts(&["request", &daemon.addr, path, "OS", "1.5"]),
+            ),
+        ] {
+            assert_eq!(
+                output.status.code(),
+                Some(1),
+                "{door} {label} should exit 1, got {:?}",
+                output.status
+            );
+            let message = stderr(&output);
+            assert!(
+                message.contains("error:") && !message.contains("panicked"),
+                "{door} {label}: unexpected diagnostic {message:?}"
+            );
+            if door == "request" {
+                assert!(
+                    message.contains("invalid-trace"),
+                    "request {label}: untyped diagnostic {message:?}"
+                );
+            }
+            if *label == "unversioned" {
+                assert!(
+                    message.contains("`format`") && message.contains("dts generate"),
+                    "{door} unversioned: diagnostic does not say how to fix it: {message:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The value of a `<label>  <n> us` line printed by `dts run` / `dts request`.
+fn micros_line(stdout: &str, label: &str) -> u64 {
+    stdout
+        .lines()
+        .find_map(|line| line.strip_prefix(label))
+        .and_then(|rest| rest.trim().strip_suffix(" us"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no `{label}` line in {stdout:?}"))
+}
+
+#[test]
+fn every_door_reports_the_same_schedule() {
+    // One generated trace with a stamped model, solved three ways — in
+    // memory, by `dts run` on the file and by `dts request` to a live
+    // daemon — must report one makespan and one pair of idle times, both
+    // under the stamped model and under a `--model` override.
+    let scratch = ScratchDir::new("cross-door");
+    let dir = scratch.path().to_str().unwrap();
+    let output = dts(&[
+        "generate",
+        "md",
+        dir,
+        "1",
+        "--tasks",
+        "300",
+        "--seed",
+        "3",
+        "--model",
+        "streams:3",
+    ]);
+    assert!(output.status.success(), "generate: {}", stderr(&output));
+    let path = scratch.path().join("md-rank000.json");
+    let path = path.to_str().unwrap();
+    let stamped = Trace::load(path).unwrap().to_instance_scaled(1.5).unwrap();
+    assert_eq!(stamped.model(), ExecutionModel::Streams { k: 3 });
+    let daemon = spawn_daemon();
+    for name in ["OS", "MAMR", "OOLCMR"] {
+        let heuristic = Heuristic::from_name(name).unwrap();
+        for model in [None, Some("duplex")] {
+            let instance = match model {
+                Some(spec) => stamped
+                    .clone()
+                    .with_model(ExecutionModel::parse(spec).unwrap())
+                    .unwrap(),
+                None => stamped.clone(),
+            };
+            let schedule = run_heuristic(&instance, heuristic).unwrap();
+            let metrics = ScheduleMetrics::of(&instance, &schedule);
+            let expected = (
+                metrics.makespan.ticks(),
+                metrics.comm_idle.ticks(),
+                metrics.comp_idle.ticks(),
+            );
+            let flags: Vec<&str> = model.map(|m| vec!["--model", m]).unwrap_or_default();
+            let run = dts(&[&["run", path, name, "1.5"], flags.as_slice()].concat());
+            let request = dts(&[
+                &["request", &daemon.addr, path, name, "1.5"],
+                flags.as_slice(),
+            ]
+            .concat());
+            for (door, output) in [("dts run", run), ("dts request", request)] {
+                assert!(output.status.success(), "{door}: {}", stderr(&output));
+                let out = stdout(&output);
+                let got = (
+                    micros_line(&out, "makespan "),
+                    micros_line(&out, "comm idle "),
+                    micros_line(&out, "comp idle "),
+                );
+                assert_eq!(
+                    got, expected,
+                    "{door} {name} model {model:?}: (makespan, comm idle, comp idle) \
+                     differ from the in-memory run"
+                );
+            }
+        }
     }
 }
 

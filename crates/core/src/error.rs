@@ -43,7 +43,7 @@ pub enum CoreError {
     /// duplicate task names, or totals that overflow the `u64` tick/byte
     /// arithmetic the simulators rely on. Kept distinct from
     /// [`CoreError::Serialization`] (which covers I/O and JSON syntax) so
-    /// the strict trace importer can report *what* is wrong with the data.
+    /// the strict trace reader can report *what* is wrong with the data.
     InvalidTrace(String),
     /// A cost-model file or spec is malformed *as a cost model*, even though
     /// it may be valid JSON: unknown format version or backend, float or

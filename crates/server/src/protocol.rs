@@ -8,10 +8,12 @@
 //! throwaway buffer) and answered with a typed error, leaving the
 //! connection usable for the next frame.
 //!
-//! A request selects the instance either **inline** (a full trace object
-//! under `"trace"`) or **by corpus family** (a generator spec under
-//! `"family"`), plus the heuristic to run and optional execution-model,
-//! cost-model and capacity-factor overrides:
+//! A request selects the instance either **inline** (a full `dts-trace` v1
+//! document under `"trace"`, read by the same strict
+//! [`Trace::from_value`] as trace files, so a malformed inline trace gets
+//! an `invalid-trace` reply) or **by corpus family** (a generator spec
+//! under `"family"`), plus the heuristic to run and optional
+//! execution-model, cost-model and capacity-factor overrides:
 //!
 //! ```json
 //! {"family": {"family": "dense-la", "n_tasks": 64, "seed": 7, "rank": 0},
@@ -208,7 +210,8 @@ impl SolveRequest {
     ///
     /// Two requests get the same digest iff they name the same instance
     /// bytes, factor, heuristic and model — the exact inputs the solve
-    /// depends on. Family specs hash their parameters rather than the
+    /// depends on. Inline traces hash their canonical `dts-trace`
+    /// rendering; family specs hash their parameters rather than the
     /// generated trace, so a cache hit skips generation too.
     pub fn digest(&self) -> Digest128 {
         let mut h = StableHasher::new();
@@ -322,9 +325,8 @@ pub fn parse_request(value: &Value) -> Result<SolveRequest, ErrorReply> {
             ))
         }
         (Some(trace_value), None) => {
-            let trace = Trace::from_value(trace_value).map_err(|e| {
-                ErrorReply::new(ErrorCode::InvalidTrace, format!("invalid trace: {e}"))
-            })?;
+            let trace = Trace::from_value(trace_value)
+                .map_err(|e| ErrorReply::new(ErrorCode::InvalidTrace, e.to_string()))?;
             TraceSource::Inline(trace)
         }
         (None, Some(spec)) => {

@@ -138,12 +138,18 @@ fn solve_failures_map_to_typed_codes() {
         ),
         (
             // Both sources at once.
-            r#"{"trace":{"kernel":"HF","rank":0,"tasks":[]},"family":{"family":"md"},"heuristic":"OS"}"#
+            r#"{"trace":{"format":"dts-trace","version":1,"kernel":"HF","rank":0,"tasks":[]},"family":{"family":"md"},"heuristic":"OS"}"#
                 .to_string(),
             "bad-request",
         ),
         (
             // Empty inline trace: rejected by the core layer.
+            r#"{"trace":{"format":"dts-trace","version":1,"kernel":"HF","rank":0,"tasks":[]},"heuristic":"OS"}"#
+                .to_string(),
+            "invalid-trace",
+        ),
+        (
+            // Unversioned inline trace: the daemon reads only dts-trace v1.
             r#"{"trace":{"kernel":"HF","rank":0,"tasks":[]},"heuristic":"OS"}"#.to_string(),
             "invalid-trace",
         ),
@@ -160,6 +166,34 @@ fn solve_failures_map_to_typed_codes() {
     infeasible.factor = 0.25;
     let response = client.send_request(&infeasible).unwrap();
     assert_error(&response, "infeasible");
+    handle.shutdown();
+}
+
+#[test]
+fn inline_traces_with_a_duplicate_task_name_are_rejected_and_the_connection_survives() {
+    let handle = start(ServerConfig::default());
+    let mut client = connect(&handle);
+
+    // The client sends what it is given; the daemon's strict reader is
+    // the one that refuses it.
+    let mut trace = sample_trace(4);
+    trace.tasks[3].name = trace.tasks[1].name.clone();
+    let response = client
+        .send_request(&SolveRequest {
+            source: TraceSource::Inline(trace),
+            heuristic: dts_heuristics::Heuristic::from_name("OS").unwrap(),
+            model: None,
+            cost_model: None,
+            factor: 1.5,
+        })
+        .unwrap();
+    assert_error(&response, "invalid-trace");
+    let message = String::from_value(response.field("message").unwrap()).unwrap();
+    assert!(message.contains("duplicate task name `t1`"), "{message}");
+
+    // The same connection keeps serving.
+    let response = client.send_request(&family_request(4)).unwrap();
+    assert_eq!(status_of(&response), "ok");
     handle.shutdown();
 }
 

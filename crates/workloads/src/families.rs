@@ -24,17 +24,13 @@
 //! declares shape invariants (spread bounds, skew ratios, duplicate-comm
 //! fractions) that the tests enforce.
 
-use dts_chem::trace::TaskKind;
+use dts_chem::trace::{TaskKind, MAX_TASKS};
 use dts_chem::{Trace, TraceTask};
 use dts_core::prelude::*;
 use dts_core::testgen;
 use microcheck::Gen;
 use rand::prelude::*;
 use std::fmt;
-
-/// Hard ceiling on the number of tasks a single generated trace may hold,
-/// so a typo'd CLI argument cannot ask for a terabyte of task records.
-pub const MAX_TASKS: usize = 10_000_000;
 
 /// Default Zipf exponent of the dense-LA family (`comp_i ∝ (i+1)^-s`).
 pub const DEFAULT_DENSE_LA_SKEW: f64 = 1.2;

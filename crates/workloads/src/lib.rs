@@ -3,7 +3,7 @@
 //! The paper's evaluation rests entirely on HF and CCSD integral-kernel
 //! traces, so every claim about the heuristics is implicitly a claim
 //! about one workload shape. This crate widens the evidence base with
-//! three layers:
+//! two layers:
 //!
 //! * [`families`] — seeded, parameterized generators for MD-like traces
 //!   (thousands of near-uniform small tasks), dense-LA-like traces (few
@@ -11,23 +11,17 @@
 //!   adversarial domains promoted from `dts_core::testgen` (tie-heavy,
 //!   memory-cliff, transfer-bound). Same config + rank → byte-identical
 //!   trace, always.
-//! * [`mod@format`] — the versioned on-disk trace format (`"format":
-//!   "dts-trace", "version": 1`) with a strict importer that rejects
-//!   every malformed class (unknown versions, float/negative numerics,
-//!   duplicate task names, overflowing totals, unknown keys) with a
-//!   typed [`dts_core::CoreError::InvalidTrace`] — never a panic.
 //! * [`corpus`] — the golden-metric scenario suite: every heuristic ×
 //!   every execution model over one fixed scenario per family, compared
 //!   against a committed golden file with a two-way ratchet
 //!   (`dts corpus --update-golden` is the only sanctioned change path).
 //!
-//! The `dts` CLI exposes all three: `dts generate <family>`, `dts trace
-//! import|export` and `dts corpus`.
+//! Generated traces are ordinary [`dts_chem::Trace`]s, written and read
+//! through the one `dts-trace` format of [`dts_chem::trace`]. The `dts`
+//! CLI exposes both layers: `dts generate <family>` and `dts corpus`.
 
 pub mod corpus;
 pub mod families;
-pub mod format;
 
 pub use corpus::{compare, run_corpus, scenarios, CorpusMetrics, CorpusReport, MetricRecord};
 pub use families::{generate_trace, GeneratorConfig, WorkloadFamily};
-pub use format::{export_trace, import_trace};

@@ -1,6 +1,7 @@
-//! Fuzz-hardening of the trace loader: every corruption of a valid trace
-//! file must surface as a *typed* `CoreError` — never a panic, never a
-//! silently wrong trace.
+//! Fuzz-hardening of the one trace reader, [`Trace::from_json`]: every
+//! corruption of a valid trace file must surface as a *typed* `CoreError`
+//! — never a panic, never a silently wrong trace — and every generated
+//! trace must round-trip through the writer byte-identically.
 //!
 //! The corrupted classes the issue names each get a seeded property:
 //! truncation at every byte offset, float (NaN-class) time fields,
@@ -9,9 +10,9 @@
 //! panic-free entry point to pin the shrinker's minimal malformed
 //! witness, so shrinking quality itself is under test.
 
-use dts_core::CoreError;
+use dts_chem::Trace;
+use dts_core::{CoreError, ExecutionModel};
 use dts_workloads::families::{generate_trace, GeneratorConfig, WorkloadFamily};
-use dts_workloads::format::{export_trace, import_trace};
 use microcheck::{gens, prop_assert, property, Config};
 
 /// A fixed valid exported file the corruption properties start from.
@@ -20,14 +21,14 @@ fn valid_json() -> String {
     config.n_tasks = 6;
     config.seed = 99;
     let trace = generate_trace(&config, 0).expect("seeded generation is infallible");
-    export_trace(&trace).expect("generated traces export")
+    trace.to_json().expect("generated traces are written")
 }
 
-/// `true` iff the importer failed with a typed error (the only acceptable
+/// `true` iff the reader failed with a typed error (the only acceptable
 /// outcomes for malformed input).
 fn rejected_cleanly(json: &str) -> bool {
     matches!(
-        import_trace(json),
+        Trace::from_json(json),
         Err(CoreError::Serialization(_))
             | Err(CoreError::InvalidTrace(_))
             | Err(CoreError::InvalidExecutionModel(_))
@@ -75,7 +76,7 @@ property! {
         let float = format!("{mantissa}.5e{exp}");
         let (comm, comp) = if field == 0 { (float.as_str(), "1") } else { ("1", float.as_str()) };
         let json = file_json(&[task_json("t", comm, comp, "1")]);
-        match import_trace(&json) {
+        match Trace::from_json(&json) {
             Err(CoreError::InvalidTrace(msg)) => prop_assert!(
                 msg.contains("comm_micros") || msg.contains("comp_micros"),
                 "message `{msg}` does not name the float field"
@@ -97,7 +98,7 @@ property! {
             _ => ("1", "1", negative.as_str()),
         };
         let json = file_json(&[task_json("t", comm, comp, mem)]);
-        match import_trace(&json) {
+        match Trace::from_json(&json) {
             Err(CoreError::InvalidTrace(msg)) => prop_assert!(
                 msg.contains("negative"),
                 "message `{msg}` does not say the field is negative"
@@ -125,7 +126,7 @@ property! {
             })
             .collect();
         let json = file_json(&tasks);
-        match import_trace(&json) {
+        match Trace::from_json(&json) {
             Err(CoreError::InvalidTrace(msg)) => prop_assert!(
                 msg.contains("duplicate") && msg.contains(&format!("task-{dup_a}")),
                 "message `{msg}` does not name duplicate `task-{dup_a}`"
@@ -146,11 +147,11 @@ property! {
             .collect();
         let json = file_json(&tasks);
         prop_assert!(
-            matches!(import_trace(&json), Err(CoreError::InvalidTrace(_))),
+            matches!(Trace::from_json(&json), Err(CoreError::InvalidTrace(_))),
             "overflowing import not rejected"
         );
         // The in-memory door: same values straight into a Trace.
-        let trace = dts_chem::Trace {
+        let trace = Trace {
             kernel: "FUZZ".into(),
             rank: 0,
             tasks: (0..n)
@@ -183,7 +184,7 @@ fn broken_duplicate_claim_shrinks_to_two_tasks() {
     let failure = microcheck::check(&Config::default(), &gen, |&n| {
         let tasks: Vec<String> = (0..n).map(|_| task_json("same", "1", "1", "1")).collect();
         let json = file_json(&tasks);
-        microcheck::prop_assert!(import_trace(&json).is_ok(), "rejected a {n}-task file");
+        microcheck::prop_assert!(Trace::from_json(&json).is_ok(), "rejected a {n}-task file");
         Ok(())
     })
     .expect_err("files with duplicate ids must not all import");
@@ -192,4 +193,34 @@ fn broken_duplicate_claim_shrinks_to_two_tasks() {
         "minimal malformed witness is two identically-named tasks"
     );
     assert!(failure.original >= 2);
+}
+
+/// Every family under every execution model: the generated trace reads
+/// back equal, and re-writing what was read reproduces the file byte for
+/// byte.
+#[test]
+fn every_family_round_trips_under_every_model() {
+    let models = [
+        ExecutionModel::Explicit,
+        ExecutionModel::Duplex,
+        ExecutionModel::Streams { k: 4 },
+        ExecutionModel::IMPLICIT_FULL,
+    ];
+    for family in WorkloadFamily::ALL {
+        let mut config = GeneratorConfig::new(family);
+        config.n_tasks = 40;
+        config.seed = 5;
+        for model in models {
+            let mut trace = generate_trace(&config, 0).expect("seeded generation succeeds");
+            trace.model = Some(model);
+            let json = trace.to_json().expect("generated traces are written");
+            let back = Trace::from_json(&json).expect("written traces read back");
+            assert_eq!(back, trace, "{family} --model {model}: trace changed");
+            assert_eq!(
+                back.to_json().unwrap(),
+                json,
+                "{family} --model {model}: re-write changed bytes"
+            );
+        }
+    }
 }
