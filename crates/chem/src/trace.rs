@@ -33,9 +33,10 @@
 //!   [`ExecutionModel::parse`] (`explicit`, `duplex`, `streams:<k>`,
 //!   `implicit[:<efficiency>]`).
 //! * `cost_model` is optional and embeds a full `dts-cost-model` file (or
-//!   the literal string `"analytic"`, which normalizes to absence); the
-//!   embedded model goes through the cost-model format's own strict
-//!   validation, surfacing as [`CoreError::InvalidCostModel`].
+//!   the `analytic` keyword, in any case, which normalizes to absence); it
+//!   is read by [`perfmodel::spec_from_value`], the same reader as a
+//!   daemon request's `cost_model`, so a malformed embedded model surfaces
+//!   as [`CoreError::InvalidCostModel`].
 //! * Every numeric field must be a non-negative JSON integer: floats
 //!   (including `1e30`-style notation), negative values and non-numeric
 //!   types are each rejected with a message naming the offending path.
@@ -43,18 +44,19 @@
 //!   unique; the totals of `comm_micros + comp_micros` and of `mem_bytes`
 //!   must fit `u64`, because the simulators' tick/byte arithmetic does.
 //! * Unknown and repeated keys are rejected at every level, so a typo'd
-//!   field fails loudly instead of being ignored.
+//!   field fails loudly instead of being ignored. The key and field checks
+//!   are the shared strict reader of [`dts_core::doc`].
 //!
 //! Reader and writer share one semantic validator: every file the writer
 //! emits is accepted by the reader, and the round-trip is byte-identical. Malformed data always surfaces as
 //! [`CoreError::InvalidTrace`] (or [`CoreError::Serialization`] for broken
 //! JSON syntax / I/O) — never as a panic.
 
+use dts_core::doc::{self, At};
 use dts_core::perfmodel;
 use dts_core::prelude::*;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Serialize, Value};
 use std::collections::HashSet;
-use std::fmt;
 use std::path::Path;
 
 /// The literal `format` marker of trace files.
@@ -325,8 +327,7 @@ impl Trace {
     /// reader refuses exactly these, so they never reach disk.
     pub fn to_json(&self) -> Result<String> {
         self.validate()?;
-        serde_json::to_string_pretty(&Document(self))
-            .map_err(|e| CoreError::Serialization(e.to_string()))
+        Ok(serde_json::to_string_pretty(&Document(self))?)
     }
 
     /// Parses and strictly validates a `dts-trace` v1 document.
@@ -336,9 +337,7 @@ impl Trace {
     /// [`CoreError::Serialization`] for broken JSON syntax, and otherwise
     /// the errors of [`Trace::from_value`].
     pub fn from_json(json: &str) -> Result<Self> {
-        let Parsed(trace) =
-            serde_json::from_str(json).map_err(|e| CoreError::Serialization(e.to_string()))?;
-        trace
+        doc::parse(json, Self::from_value)
     }
 
     /// Strictly reads a `dts-trace` v1 document from an already-parsed
@@ -352,29 +351,27 @@ impl Trace {
     /// [`CoreError::InvalidCostModel`] for a malformed stamped model.
     pub fn from_value(value: &Value) -> Result<Self> {
         let [format, version, kernel, rank, model, cost_model, tasks] =
-            keyed(value, &TRACE_KEYS, At::File)?;
+            doc::keyed(value, &TRACE_KEYS, FILE)?;
         if format.is_none() {
             return Err(invalid(
                 "trace file is missing required key `format`: it is an unversioned trace, \
                  which this build does not read; regenerate it with `dts generate`",
             ));
         }
-        let format = string(format, "format", At::File)?;
+        let format = doc::string(format, "format", FILE)?;
         if format != FORMAT_NAME {
             return Err(invalid(format!(
                 "format is `{format}`, expected `{FORMAT_NAME}` (is this a trace file?)"
             )));
         }
-        let version = uint(version, "version", At::File)?;
+        let version = doc::uint(version, "version", FILE)?;
         if version != FORMAT_VERSION {
             return Err(invalid(format!(
                 "unsupported format version {version}; this build reads version {FORMAT_VERSION} only"
             )));
         }
-        let kernel = string(kernel, "kernel", At::File)?.to_string();
-        let rank = uint(rank, "rank", At::File)?;
-        let rank = usize::try_from(rank)
-            .map_err(|_| invalid(format!("rank {rank} does not fit this platform's usize")))?;
+        let kernel = doc::string(kernel, "kernel", FILE)?.to_string();
+        let rank = doc::size(rank, "rank", FILE)?;
         let model = match model {
             None => None,
             Some(Value::Str(spec)) => Some(ExecutionModel::parse(spec)?),
@@ -385,24 +382,15 @@ impl Trace {
                 )))
             }
         };
-        let cost_model = match cost_model {
-            None => None,
-            Some(Value::Str(s)) if s == "analytic" => None,
-            Some(value) => Some(perfmodel::model_from_value(value)?),
-        };
-        let tasks = match required(tasks, "tasks", At::File)? {
-            Value::Array(items) => items,
-            other => {
-                return Err(invalid(format!(
-                    "tasks must be an array, got {}",
-                    other.kind()
-                )))
-            }
-        };
-        let tasks = tasks
+        let cost_model = cost_model
+            .map(perfmodel::spec_from_value)
+            .transpose()?
+            .filter(|spec| !spec.is_analytic());
+        let tasks_at = FILE.key("tasks");
+        let tasks = doc::array(tasks, "tasks", FILE)?
             .iter()
             .enumerate()
-            .map(|(i, item)| task_from_value(item, i))
+            .map(|(i, item)| task_from_value(item, tasks_at.index(i)))
             .collect::<Result<Vec<_>>>()?;
         let trace = Trace {
             kernel,
@@ -453,17 +441,6 @@ impl Serialize for Document<'_> {
     }
 }
 
-/// Runs the strict walk on the JSON parser's own tree (decoding into a
-/// `Value` would clone the whole tree first) and carries its typed result
-/// through the serde error channel untouched.
-struct Parsed(Result<Trace>);
-
-impl Deserialize for Parsed {
-    fn from_value(value: &Value) -> std::result::Result<Self, SerdeError> {
-        Ok(Parsed(Trace::from_value(value)))
-    }
-}
-
 const TRACE_KEYS: [&str; 7] = [
     "format",
     "version",
@@ -475,101 +452,13 @@ const TRACE_KEYS: [&str; 7] = [
 ];
 const TASK_KEYS: [&str; 5] = ["name", "kind", "comm_micros", "comp_micros", "mem_bytes"];
 
-/// Where in the document a value sits; rendered into a path only when an
-/// error is reported, so the success path never formats one.
-#[derive(Clone, Copy)]
-enum At {
-    File,
-    Task(usize),
-}
+/// The root of a trace file in reader messages.
+const FILE: At<'static, CoreError> = At::Root("trace file", CoreError::InvalidTrace);
 
-impl At {
-    fn path(self, key: &str) -> String {
-        match self {
-            At::File => key.to_string(),
-            At::Task(i) => format!("tasks[{i}].{key}"),
-        }
-    }
-}
-
-impl fmt::Display for At {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            At::File => f.write_str("trace file"),
-            At::Task(i) => write!(f, "tasks[{i}]"),
-        }
-    }
-}
-
-/// Splits an object into one slot per allowed key, in the order of
-/// `keys`. Filling a slot twice is a repeated key; a key outside `keys`
-/// is an unknown one.
-fn keyed<'v, const N: usize>(
-    value: &'v Value,
-    keys: &[&str; N],
-    at: At,
-) -> Result<[Option<&'v Value>; N]> {
-    let Value::Object(fields) = value else {
-        return Err(invalid(format!(
-            "{at} must be an object, got {}",
-            value.kind()
-        )));
-    };
-    let mut slots = [None; N];
-    for (key, item) in fields {
-        let Some(slot) = keys.iter().position(|k| k == key) else {
-            return Err(invalid(format!(
-                "{at} has unknown key `{key}`; allowed keys are {}",
-                keys.join(", ")
-            )));
-        };
-        if slots[slot].replace(item).is_some() {
-            return Err(invalid(format!("{at} repeats key `{key}`")));
-        }
-    }
-    Ok(slots)
-}
-
-fn required<'v>(slot: Option<&'v Value>, key: &str, at: At) -> Result<&'v Value> {
-    slot.ok_or_else(|| invalid(format!("{at} is missing required key `{key}`")))
-}
-
-fn string<'v>(slot: Option<&'v Value>, key: &str, at: At) -> Result<&'v str> {
-    match required(slot, key, at)? {
-        Value::Str(s) => Ok(s),
-        other => Err(invalid(format!(
-            "{} must be a string, got {}",
-            at.path(key),
-            other.kind()
-        ))),
-    }
-}
-
-/// Reads a required non-negative integer, classifying each wrong shape:
-/// floats (the JSON parser yields [`Value::Float`] for `1.5`, `1e30`
-/// etc.), negative integers, and non-numbers all get their own message
-/// naming the path.
-fn uint(slot: Option<&Value>, key: &str, at: At) -> Result<u64> {
-    match required(slot, key, at)? {
-        Value::UInt(n) => Ok(*n),
-        Value::Int(n) => Err(invalid(format!("{} is negative ({n})", at.path(key)))),
-        Value::Float(x) => Err(invalid(format!(
-            "{} must be a non-negative integer, got non-integer number {x}",
-            at.path(key)
-        ))),
-        other => Err(invalid(format!(
-            "{} must be a non-negative integer, got {}",
-            at.path(key),
-            other.kind()
-        ))),
-    }
-}
-
-fn task_from_value(value: &Value, i: usize) -> Result<TraceTask> {
-    let at = At::Task(i);
-    let [name, kind, comm, comp, mem] = keyed(value, &TASK_KEYS, at)?;
-    let name = string(name, "name", at)?.to_string();
-    let kind = string(kind, "kind", at)?;
+fn task_from_value(value: &Value, at: At<'_, CoreError>) -> Result<TraceTask> {
+    let [name, kind, comm, comp, mem] = doc::keyed(value, &TASK_KEYS, at)?;
+    let name = doc::string(name, "name", at)?.to_string();
+    let kind = doc::string(kind, "kind", at)?;
     let kind = TaskKind::from_name(kind).ok_or_else(|| {
         invalid(format!(
             "{at}.kind is `{kind}`; expected one of Contraction, Transpose, \
@@ -579,9 +468,9 @@ fn task_from_value(value: &Value, i: usize) -> Result<TraceTask> {
     Ok(TraceTask {
         name,
         kind,
-        comm_micros: uint(comm, "comm_micros", at)?,
-        comp_micros: uint(comp, "comp_micros", at)?,
-        mem_bytes: uint(mem, "mem_bytes", at)?,
+        comm_micros: doc::uint(comm, "comm_micros", at)?,
+        comp_micros: doc::uint(comp, "comp_micros", at)?,
+        mem_bytes: doc::uint(mem, "mem_bytes", at)?,
     })
 }
 
@@ -726,6 +615,11 @@ mod tests {
         let json = trace.to_json().unwrap();
         assert!(!json.contains("cost_model"));
         assert_eq!(Trace::from_json(&json).unwrap().cost_model, None);
+
+        // The `analytic` keyword reads in any case, as in requests and on
+        // the command line, and normalizes to absence.
+        let keyword = json.replacen("\"tasks\"", "\"cost_model\": \"Analytic\",\n  \"tasks\"", 1);
+        assert_eq!(Trace::from_json(&keyword).unwrap().cost_model, None);
 
         // A stamped model round-trips and rewrites the instance durations.
         let spec = CostModelSpec::Regression(

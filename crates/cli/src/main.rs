@@ -372,7 +372,7 @@ fn generate_family_suite(
 /// Resolves a `--cost-model` argument: the literal `analytic` (any case)
 /// or a path to a dts-cost-model file, strictly validated on load.
 fn load_cost_model(arg: &str) -> Result<CostModelSpec, String> {
-    if arg.eq_ignore_ascii_case("analytic") {
+    if perfmodel::is_analytic_keyword(arg) {
         return Ok(CostModelSpec::Analytic);
     }
     perfmodel::import_model_file(std::path::Path::new(arg)).map_err(|e| e.to_string())

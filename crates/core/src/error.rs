@@ -98,6 +98,14 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
+/// JSON rendering and syntax errors, at every strict-reader door
+/// ([`crate::doc::parse`]) included, are serialization errors.
+impl From<serde_json::Error> for CoreError {
+    fn from(err: serde_json::Error) -> Self {
+        CoreError::Serialization(err.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

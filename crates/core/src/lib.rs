@@ -30,6 +30,9 @@
 //!   process and platform boundaries),
 //! * [`cache`] — the bounded solve-once cache behind the scheduling
 //!   daemon (concurrent identical requests solve exactly once),
+//! * [`doc`] — the strict JSON document reader every input door uses
+//!   (trace and cost-model files, the corpus golden file, daemon
+//!   requests): unknown and repeated keys are errors naming the key,
 //! * [`sync`] — the compile-time façade that lets the pool run on either
 //!   `std` atomics or the `microloom` model checker's instrumented types,
 //! * [`feasibility`] — the feasibility checker for schedules (link and CPU
@@ -51,6 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod doc;
 pub mod error;
 pub mod exec;
 pub mod feasibility;

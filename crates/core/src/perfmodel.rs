@@ -34,6 +34,7 @@
 //! heuristic and candidate-index query downstream keeps reading plain
 //! task fields. The O(log n) decision paths never query a model.
 
+use crate::doc::{self, At};
 use crate::error::{CoreError, Result};
 use crate::task::Task;
 use crate::time::Time;
@@ -686,9 +687,7 @@ pub fn model_value(spec: &CostModelSpec) -> Result<Value> {
 /// Renders a fitted model as its canonical model-file JSON text.
 pub fn export_model(spec: &CostModelSpec) -> Result<String> {
     let value = model_value(spec)?;
-    serde_json::to_string_pretty(&value)
-        .map(|s| s + "\n")
-        .map_err(|e| CoreError::Serialization(e.to_string()))
+    Ok(serde_json::to_string_pretty(&value)? + "\n")
 }
 
 /// Writes a model file ([`export_model`] to disk).
@@ -701,196 +700,113 @@ pub fn export_model_file(spec: &CostModelSpec, path: &Path) -> Result<()> {
 // Model-file parsing (the import half).
 // ---------------------------------------------------------------------------
 
-fn expect_object<'v>(value: &'v Value, what: &str) -> Result<&'v [(String, Value)]> {
-    match value {
-        Value::Object(fields) => Ok(fields),
-        other => Err(invalid(format!(
-            "{what} must be an object, got {}",
-            other.kind()
-        ))),
-    }
-}
+/// The root of a cost-model file in reader messages.
+const FILE: At<'static, CoreError> = At::Root("cost-model file", CoreError::InvalidCostModel);
 
-fn lookup<'v>(fields: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
+/// The key naming an entry's class (`link` or `backend`) and its resolver.
+type Class<K> = (&'static str, fn(&str, At<'_, CoreError>) -> Result<K>);
+const LINK: Class<LinkClass> = ("link", link_of);
+const BACKEND: Class<ComputeBackend> = ("backend", backend_of);
 
-fn require<'v>(fields: &'v [(String, Value)], key: &str, what: &str) -> Result<&'v Value> {
-    lookup(fields, key).ok_or_else(|| invalid(format!("{what} is missing the `{key}` field")))
-}
-
-/// Rejects unknown and duplicate keys, naming the offender and the
-/// context.
-fn check_keys(fields: &[(String, Value)], allowed: &[&str], what: &str) -> Result<()> {
-    for (i, (key, _)) in fields.iter().enumerate() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(invalid(format!("{what} has an unknown field `{key}`")));
-        }
-        if fields[..i].iter().any(|(k, _)| k == key) {
-            return Err(invalid(format!("{what} repeats the field `{key}`")));
-        }
-    }
-    Ok(())
-}
-
-/// Extracts a non-negative integer, distinguishing the failure classes a
-/// fuzzer produces: negative integers, float syntax and non-numbers each
-/// get a message naming the path.
-fn uint_field(fields: &[(String, Value)], key: &str, what: &str) -> Result<u64> {
-    match require(fields, key, what)? {
-        Value::UInt(n) => Ok(*n),
-        Value::Int(n) => Err(invalid(format!("{what} field `{key}` is negative ({n})"))),
-        Value::Float(x) => Err(invalid(format!(
-            "{what} field `{key}` must be an integer, got the non-integer number {x}"
-        ))),
-        other => Err(invalid(format!(
-            "{what} field `{key}` must be a non-negative integer, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-fn str_field<'v>(fields: &'v [(String, Value)], key: &str, what: &str) -> Result<&'v str> {
-    match require(fields, key, what)? {
-        Value::Str(s) => Ok(s),
-        other => Err(invalid(format!(
-            "{what} field `{key}` must be a string, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-fn import_linear_entry(value: &Value, key: &str, what: &str) -> Result<(String, LinearFit)> {
-    let fields = expect_object(value, what)?;
-    check_keys(
-        fields,
-        &[key, "alpha_us", "beta_ps_per_byte", "samples"],
-        what,
-    )?;
-    let name = str_field(fields, key, what)?.to_string();
-    Ok((
-        name,
-        LinearFit {
-            alpha_us: uint_field(fields, "alpha_us", what)?,
-            beta_ps_per_byte: uint_field(fields, "beta_ps_per_byte", what)?,
-            samples: uint_field(fields, "samples", what)?,
-        },
-    ))
-}
-
-fn import_history_entry(value: &Value, key: &str, what: &str) -> Result<(String, HistoryTable)> {
-    let fields = expect_object(value, what)?;
-    check_keys(fields, &[key, "buckets"], what)?;
-    let name = str_field(fields, key, what)?.to_string();
-    let buckets = match require(fields, "buckets", what)? {
-        Value::Array(items) => items,
-        other => {
-            return Err(invalid(format!(
-                "{what} field `buckets` must be an array, got {}",
-                other.kind()
-            )))
-        }
-    };
-    let mut imported = Vec::with_capacity(buckets.len());
-    for (i, item) in buckets.iter().enumerate() {
-        let bucket_what = format!("{what} bucket #{i}");
-        let bfields = expect_object(item, &bucket_what)?;
-        check_keys(bfields, &["bucket", "mean_us", "samples"], &bucket_what)?;
-        let bucket = uint_field(bfields, "bucket", &bucket_what)?;
-        imported.push(HistoryBucket {
-            bucket: u32::try_from(bucket)
-                .map_err(|_| invalid(format!("{bucket_what} index {bucket} is out of range")))?,
-            mean_us: uint_field(bfields, "mean_us", &bucket_what)?,
-            samples: uint_field(bfields, "samples", &bucket_what)?,
-        });
-    }
-    Ok((name, HistoryTable::new(imported)?))
-}
-
-fn section<'v>(fields: &'v [(String, Value)], key: &str) -> Result<&'v [Value]> {
-    match require(fields, key, "cost-model file")? {
-        Value::Array(items) => Ok(items),
-        other => Err(invalid(format!(
-            "cost-model `{key}` section must be an array, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-fn link_of(name: &str, what: &str) -> Result<LinkClass> {
+fn link_of(name: &str, at: At<'_, CoreError>) -> Result<LinkClass> {
     LinkClass::from_name(name).ok_or_else(|| {
-        invalid(format!(
-            "{what} names unknown link class `{name}` (known: h2d, d2h)"
+        at.error(format!(
+            "{at} names unknown link class `{name}` (known: h2d, d2h)"
         ))
     })
 }
 
-fn backend_of(name: &str, what: &str) -> Result<ComputeBackend> {
+fn backend_of(name: &str, at: At<'_, CoreError>) -> Result<ComputeBackend> {
     ComputeBackend::from_name(name).ok_or_else(|| {
-        invalid(format!(
-            "{what} names unknown compute backend `{name}` (known: cpu)"
+        at.error(format!(
+            "{at} names unknown compute backend `{name}` (known: cpu)"
         ))
     })
 }
 
-/// Parses a model-file [`Value`] with the full strict validation: exact
-/// format/version envelope, no unknown or duplicate keys anywhere,
-/// integer-only coefficients, canonical entry order, non-empty history
-/// tables. Every failure is a typed [`CoreError::InvalidCostModel`].
-pub fn model_from_value(value: &Value) -> Result<CostModelSpec> {
-    let fields = expect_object(value, "cost-model file")?;
-    check_keys(
-        fields,
+fn linear_entry<K>(
+    value: &Value,
+    at: At<'_, CoreError>,
+    (key, class): Class<K>,
+) -> Result<(K, LinearFit)> {
+    let [name, alpha, beta, samples] =
+        doc::keyed(value, &[key, "alpha_us", "beta_ps_per_byte", "samples"], at)?;
+    let name = doc::string(name, key, at)?;
+    let fit = LinearFit {
+        alpha_us: doc::uint(alpha, "alpha_us", at)?,
+        beta_ps_per_byte: doc::uint(beta, "beta_ps_per_byte", at)?,
+        samples: doc::uint(samples, "samples", at)?,
+    };
+    Ok((class(name, at)?, fit))
+}
+
+fn history_entry<K>(
+    value: &Value,
+    at: At<'_, CoreError>,
+    (key, class): Class<K>,
+) -> Result<(K, HistoryTable)> {
+    let [name, buckets] = doc::keyed(value, &[key, "buckets"], at)?;
+    let name = doc::string(name, key, at)?;
+    let buckets_at = at.key("buckets");
+    let buckets = doc::array(buckets, "buckets", at)?
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let at = buckets_at.index(i);
+            let [bucket, mean, samples] = doc::keyed(item, &["bucket", "mean_us", "samples"], at)?;
+            let index = doc::uint(bucket, "bucket", at)?;
+            Ok(HistoryBucket {
+                bucket: u32::try_from(index)
+                    .map_err(|_| at.error(format!("{at}.bucket {index} is out of range")))?,
+                mean_us: doc::uint(mean, "mean_us", at)?,
+                samples: doc::uint(samples, "samples", at)?,
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Ok((class(name, at)?, HistoryTable::new(buckets)?))
+}
+
+/// Reads a model-file object (see [`import_model`] for the rules).
+fn model_from_value(value: &Value) -> Result<CostModelSpec> {
+    let [format, version, backend, transfer, compute] = doc::keyed(
+        value,
         &["format", "version", "backend", "transfer", "compute"],
-        "cost-model file",
+        FILE,
     )?;
-    let format = str_field(fields, "format", "cost-model file")?;
+    let format = doc::string(format, "format", FILE)?;
     if format != FORMAT_NAME {
         return Err(invalid(format!(
             "not a cost-model file: format is `{format}`, expected `{FORMAT_NAME}`"
         )));
     }
-    let version = uint_field(fields, "version", "cost-model file")?;
+    let version = doc::uint(version, "version", FILE)?;
     if version != FORMAT_VERSION {
         return Err(invalid(format!(
             "unsupported cost-model version {version}; this build reads version \
              {FORMAT_VERSION} only"
         )));
     }
-    let backend = str_field(fields, "backend", "cost-model file")?;
-    let transfer = section(fields, "transfer")?;
-    let compute = section(fields, "compute")?;
+    let backend = doc::string(backend, "backend", FILE)?;
+    let (transfer_at, compute_at) = (FILE.key("transfer"), FILE.key("compute"));
+    let transfer = doc::array(transfer, "transfer", FILE)?.iter().enumerate();
+    let compute = doc::array(compute, "compute", FILE)?.iter().enumerate();
     let spec = match backend {
-        "regression" => {
-            let mut t = Vec::with_capacity(transfer.len());
-            for (i, item) in transfer.iter().enumerate() {
-                let what = format!("transfer entry #{i}");
-                let (name, fit) = import_linear_entry(item, "link", &what)?;
-                t.push((link_of(&name, &what)?, fit));
-            }
-            let mut c = Vec::with_capacity(compute.len());
-            for (i, item) in compute.iter().enumerate() {
-                let what = format!("compute entry #{i}");
-                let (name, fit) = import_linear_entry(item, "backend", &what)?;
-                c.push((backend_of(&name, &what)?, fit));
-            }
-            CostModelSpec::Regression(RegressionModel::new(t, c)?)
-        }
-        "history" => {
-            let mut t = Vec::with_capacity(transfer.len());
-            for (i, item) in transfer.iter().enumerate() {
-                let what = format!("transfer entry #{i}");
-                let (name, table) = import_history_entry(item, "link", &what)?;
-                t.push((link_of(&name, &what)?, table));
-            }
-            let mut c = Vec::with_capacity(compute.len());
-            for (i, item) in compute.iter().enumerate() {
-                let what = format!("compute entry #{i}");
-                let (name, table) = import_history_entry(item, "backend", &what)?;
-                c.push((backend_of(&name, &what)?, table));
-            }
-            CostModelSpec::History(HistoryModel::new(t, c)?)
-        }
+        "regression" => CostModelSpec::Regression(RegressionModel::new(
+            transfer
+                .map(|(i, item)| linear_entry(item, transfer_at.index(i), LINK))
+                .collect::<Result<_>>()?,
+            compute
+                .map(|(i, item)| linear_entry(item, compute_at.index(i), BACKEND))
+                .collect::<Result<_>>()?,
+        )?),
+        "history" => CostModelSpec::History(HistoryModel::new(
+            transfer
+                .map(|(i, item)| history_entry(item, transfer_at.index(i), LINK))
+                .collect::<Result<_>>()?,
+            compute
+                .map(|(i, item)| history_entry(item, compute_at.index(i), BACKEND))
+                .collect::<Result<_>>()?,
+        )?),
         other => {
             return Err(invalid(format!(
                 "unknown cost-model backend `{other}` (known: history, regression)"
@@ -900,12 +816,35 @@ pub fn model_from_value(value: &Value) -> Result<CostModelSpec> {
     Ok(spec)
 }
 
-/// Parses model-file JSON text ([`model_from_value`] after JSON parsing;
-/// syntax errors are [`CoreError::Serialization`]).
+/// `true` iff `word` is the `analytic` keyword, in any case: the one
+/// spelling of the analytic default on the command line, in traces, in
+/// daemon requests and in instances.
+pub fn is_analytic_keyword(word: &str) -> bool {
+    word.eq_ignore_ascii_case("analytic")
+}
+
+/// Reads an embedded cost-model value: the `analytic` keyword (see
+/// [`is_analytic_keyword`]) or a full model-file object with the strict
+/// validation of [`import_model`]. The one reader behind the `cost_model`
+/// key of traces and daemon requests and [`CostModelSpec`]'s
+/// `Deserialize`.
+pub fn spec_from_value(value: &Value) -> Result<CostModelSpec> {
+    match value {
+        Value::Str(word) if is_analytic_keyword(word) => Ok(CostModelSpec::Analytic),
+        Value::Str(other) => Err(invalid(format!(
+            "unknown cost-model keyword `{other}` (only `analytic`, or an inline model file)"
+        ))),
+        file => model_from_value(file),
+    }
+}
+
+/// Parses model-file JSON text with the full strict validation: exact
+/// format/version envelope, no unknown or repeated keys anywhere,
+/// integer-only coefficients, canonical entry order, non-empty history
+/// tables. Syntax errors are [`CoreError::Serialization`], every other
+/// failure a typed [`CoreError::InvalidCostModel`] naming the path.
 pub fn import_model(json: &str) -> Result<CostModelSpec> {
-    let value: Value =
-        serde_json::from_str(json).map_err(|e| CoreError::Serialization(e.to_string()))?;
-    model_from_value(&value)
+    doc::parse(json, model_from_value)
 }
 
 /// Reads a model file from disk.
@@ -932,13 +871,7 @@ impl Serialize for CostModelSpec {
 
 impl Deserialize for CostModelSpec {
     fn from_value(value: &Value) -> std::result::Result<Self, SerdeError> {
-        match value {
-            Value::Str(s) if s.eq_ignore_ascii_case("analytic") => Ok(CostModelSpec::Analytic),
-            Value::Str(other) => Err(SerdeError::custom(format!(
-                "unknown cost-model keyword `{other}` (only `analytic`, or an inline model file)"
-            ))),
-            other => model_from_value(other).map_err(SerdeError::custom),
-        }
+        spec_from_value(value).map_err(SerdeError::custom)
     }
 }
 
@@ -1332,7 +1265,10 @@ mod tests {
         // Wrong format name.
         reject(&valid.replace("dts-cost-model", "dts-trace"), "format");
         // Unknown top-level key.
-        reject(&valid.replace("\"backend\"", "\"banana\""), "unknown field");
+        reject(
+            &valid.replace("\"backend\"", "\"banana\""),
+            "unknown key `banana`",
+        );
         // Unknown backend.
         reject(
             &valid.replace("\"regression\"", "\"neural\""),

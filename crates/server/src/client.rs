@@ -81,10 +81,8 @@ impl Client {
     /// Transport failures as [`CoreError::Internal`]; an unparsable
     /// response as [`CoreError::Serialization`].
     pub fn send_value(&mut self, value: &Value) -> CoreResult<Value> {
-        let payload =
-            serde_json::to_string(value).map_err(|e| CoreError::Serialization(e.to_string()))?;
-        let response = self.send_text(&payload)?;
-        serde_json::from_str(&response).map_err(|e| CoreError::Serialization(e.to_string()))
+        let response = self.send_text(&serde_json::to_string(value)?)?;
+        Ok(serde_json::from_str(&response)?)
     }
 
     /// Sends a typed request and parses the JSON response.

@@ -21,9 +21,15 @@
 //! ```
 //!
 //! The optional `"cost_model"` field carries either a full inline
-//! dts-cost-model object or the literal string `"analytic"`; it overrides
+//! dts-cost-model object or the `analytic` keyword (any case, as in
+//! traces); it overrides
 //! whatever cost model the trace embeds (with `"analytic"` forcing the
 //! trace's native durations) and is part of the cache key.
+//!
+//! Requests are strict: they are read by the shared document reader of
+//! [`dts_core::doc`], so an unknown or repeated key, at the top level or
+//! in the family spec, is a `bad-request` reply naming the key, never a
+//! request answered with defaults.
 //!
 //! Responses are either `{"status":"ok", "cached":…, "digest":…,
 //! "result":…}` or `{"status":"error", "code":…, "message":…}`. Every
@@ -32,13 +38,14 @@
 //! reply.
 
 use dts_chem::Trace;
+use dts_core::doc::{self, At};
 use dts_core::error::CoreError;
 use dts_core::hash::{Digest128, StableHasher};
-use dts_core::perfmodel::CostModelSpec;
+use dts_core::perfmodel::{self, CostModelSpec};
 use dts_core::ExecutionModel;
 use dts_heuristics::Heuristic;
 use dts_workloads::{GeneratorConfig, WorkloadFamily};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -252,115 +259,85 @@ impl SolveRequest {
     }
 }
 
+/// The root of a request in reader messages: every shape violation in a
+/// request or its family spec is a `bad-request`.
+const REQUEST: At<'static, ErrorReply> = At::Root("request", bad_request);
+const REQUEST_KEYS: [&str; 6] = [
+    "trace",
+    "family",
+    "heuristic",
+    "model",
+    "cost_model",
+    "factor",
+];
+
+fn bad_request(message: String) -> ErrorReply {
+    ErrorReply::new(ErrorCode::BadRequest, message)
+}
+
+/// Syntax errors in a payload are bad frames.
+impl From<serde_json::Error> for ErrorReply {
+    fn from(err: serde_json::Error) -> Self {
+        ErrorReply::new(
+            ErrorCode::BadFrame,
+            format!("payload is not valid JSON: {err}"),
+        )
+    }
+}
+
 /// Parses a request payload (already JSON-decoded) into a [`SolveRequest`].
 ///
 /// # Errors
 ///
 /// A typed [`ErrorReply`] for every schema violation: the caller sends it
-/// on the wire instead of solving.
+/// on the wire instead of solving. An unknown or repeated key, in the
+/// request or in its family spec, is a `bad-request` naming the key.
 pub fn parse_request(value: &Value) -> Result<SolveRequest, ErrorReply> {
-    let bad = |msg: String| ErrorReply::new(ErrorCode::BadRequest, msg);
-
-    let heuristic_name: String = match value.field("heuristic") {
-        Ok(v) => Deserialize::from_value(v)
-            .map_err(|e| bad(format!("field 'heuristic' must be a string: {e}")))?,
-        Err(_) => return Err(bad("missing required field 'heuristic'".to_string())),
-    };
-    let heuristic = Heuristic::from_name(&heuristic_name).ok_or_else(|| {
+    let [trace, family, heuristic, model, cost_model, factor] =
+        doc::keyed(value, &REQUEST_KEYS, REQUEST)?;
+    let heuristic_name = doc::string(heuristic, "heuristic", REQUEST)?;
+    let heuristic = Heuristic::from_name(heuristic_name).ok_or_else(|| {
         ErrorReply::new(
             ErrorCode::UnknownHeuristic,
             format!("unknown heuristic '{heuristic_name}'"),
         )
     })?;
-
-    let model = match value.field("model") {
-        Ok(v) => {
-            let spec: String = Deserialize::from_value(v)
-                .map_err(|e| bad(format!("field 'model' must be a string: {e}")))?;
-            Some(ExecutionModel::parse(&spec).map_err(|e| {
-                ErrorReply::new(ErrorCode::InvalidModel, format!("invalid model: {e}"))
-            })?)
-        }
-        Err(_) => None,
+    let model = match model {
+        Some(_) => Some(
+            ExecutionModel::parse(doc::string(model, "model", REQUEST)?)
+                .map_err(|e| ErrorReply::from_core(&e))?,
+        ),
+        None => None,
     };
-
-    let cost_model = match value.field("cost_model") {
-        Ok(v) => {
-            let spec = CostModelSpec::from_value(v).map_err(|e| {
-                ErrorReply::new(
-                    ErrorCode::InvalidCostModel,
-                    format!("invalid cost model: {e}"),
-                )
-            })?;
-            spec.validate()
-                .map_err(|e| ErrorReply::new(ErrorCode::InvalidCostModel, e.to_string()))?;
-            Some(spec)
-        }
-        Err(_) => None,
-    };
-
-    let factor = match value.field("factor") {
-        Ok(v) => {
-            f64::from_value(v).map_err(|e| bad(format!("field 'factor' must be a number: {e}")))?
-        }
-        Err(_) => 1.0,
+    let cost_model = cost_model
+        .map(perfmodel::spec_from_value)
+        .transpose()
+        .map_err(|e| ErrorReply::from_core(&e))?;
+    let factor = match factor {
+        Some(_) => doc::number(factor, "factor", REQUEST)?,
+        None => 1.0,
     };
     if !factor.is_finite() || factor < 0.0 {
-        return Err(bad(format!(
+        return Err(bad_request(format!(
             "capacity factor must be finite and non-negative, got {factor}"
         )));
     }
-
-    let inline = value.field("trace").ok();
-    let family = value.field("family").ok();
-    let source = match (inline, family) {
+    let source = match (trace, family) {
         (Some(_), Some(_)) => {
-            return Err(bad(
+            return Err(bad_request(
                 "request must name exactly one of 'trace' or 'family', not both".to_string(),
             ))
         }
         (None, None) => {
-            return Err(bad(
-                "request must name exactly one of 'trace' or 'family'".to_string()
+            return Err(bad_request(
+                "request must name exactly one of 'trace' or 'family'".to_string(),
             ))
         }
-        (Some(trace_value), None) => {
-            let trace = Trace::from_value(trace_value)
-                .map_err(|e| ErrorReply::new(ErrorCode::InvalidTrace, e.to_string()))?;
-            TraceSource::Inline(trace)
-        }
-        (None, Some(spec)) => {
-            let family_name: String = match spec.field("family") {
-                Ok(v) => Deserialize::from_value(v)
-                    .map_err(|e| bad(format!("family 'family' must be a string: {e}")))?,
-                Err(_) => return Err(bad("family spec is missing field 'family'".to_string())),
-            };
-            let family = WorkloadFamily::from_name(&family_name)
-                .ok_or_else(|| bad(format!("unknown workload family '{family_name}'")))?;
-            let mut config = GeneratorConfig::new(family);
-            if let Ok(v) = spec.field("n_tasks") {
-                config.n_tasks = Deserialize::from_value(v)
-                    .map_err(|e| bad(format!("family 'n_tasks' must be an integer: {e}")))?;
-            }
-            if let Ok(v) = spec.field("seed") {
-                config.seed = Deserialize::from_value(v)
-                    .map_err(|e| bad(format!("family 'seed' must be an integer: {e}")))?;
-            }
-            if let Ok(v) = spec.field("skew") {
-                let skew = f64::from_value(v)
-                    .map_err(|e| bad(format!("family 'skew' must be a number: {e}")))?;
-                config.skew = Some(skew);
-            }
-            let rank: usize = match spec.field("rank") {
-                Ok(v) => Deserialize::from_value(v)
-                    .map_err(|e| bad(format!("family 'rank' must be an integer: {e}")))?,
-                Err(_) => 0,
-            };
-            config
-                .validate()
-                .map_err(|e| bad(format!("invalid family spec: {e}")))?;
-            TraceSource::Family { config, rank }
-        }
+        (Some(trace), None) => TraceSource::Inline(
+            Trace::from_value(trace)
+                .map_err(|e| ErrorReply::new(ErrorCode::InvalidTrace, e.to_string()))?,
+        ),
+        (None, Some(spec)) => family_source(spec)?,
     };
 
     Ok(SolveRequest {
@@ -370,6 +347,34 @@ pub fn parse_request(value: &Value) -> Result<SolveRequest, ErrorReply> {
         cost_model,
         factor,
     })
+}
+
+/// Reads the generator spec under a request's `family` key.
+fn family_source(spec: &Value) -> Result<TraceSource, ErrorReply> {
+    let at = REQUEST.key("family");
+    let [family, n_tasks, seed, skew, rank] =
+        doc::keyed(spec, &["family", "n_tasks", "seed", "skew", "rank"], at)?;
+    let name = doc::string(family, "family", at)?;
+    let family = WorkloadFamily::from_name(name)
+        .ok_or_else(|| bad_request(format!("unknown workload family '{name}'")))?;
+    let mut config = GeneratorConfig::new(family);
+    if n_tasks.is_some() {
+        config.n_tasks = doc::size(n_tasks, "n_tasks", at)?;
+    }
+    if seed.is_some() {
+        config.seed = doc::uint(seed, "seed", at)?;
+    }
+    if skew.is_some() {
+        config.skew = Some(doc::number(skew, "skew", at)?);
+    }
+    let rank = match rank {
+        Some(_) => doc::size(rank, "rank", at)?,
+        None => 0,
+    };
+    config
+        .validate()
+        .map_err(|e| bad_request(format!("invalid family spec: {e}")))?;
+    Ok(TraceSource::Family { config, rank })
 }
 
 /// Outcome of reading one frame.
@@ -470,6 +475,7 @@ pub fn request_to_value(req: &SolveRequest) -> Value {
 mod tests {
     use super::*;
     use dts_core::perfmodel::{ComputeBackend, LinearFit, LinkClass, RegressionModel};
+    use serde::Deserialize;
 
     fn sample_cost_model() -> CostModelSpec {
         let fit = |alpha_us| LinearFit {
@@ -597,6 +603,45 @@ mod tests {
             let err = parse_request(&value).unwrap_err();
             assert_eq!(err.code, expected, "for {value:?}: {}", err.message);
         }
+
+        // Misspelled and repeated keys, at the top level and in the
+        // family spec, are bad requests naming the key; none of them is
+        // answered with a default.
+        let with_field = |key: &str, item: Value| {
+            let mut v = family_request_value();
+            if let Value::Object(fields) = &mut v {
+                fields.push((key.to_string(), item));
+            }
+            v
+        };
+        let mut misnamed_spec = family_request_value();
+        if let Value::Object(fields) = &mut misnamed_spec {
+            if let Value::Object(spec) = &mut fields[0].1 {
+                spec.push(("n_task".to_string(), Value::UInt(5000)));
+            }
+        }
+        let strict: Vec<(Value, &str)> = vec![
+            (with_field("facotr", Value::Float(0.5)), "`facotr`"),
+            (
+                with_field("heuristic", Value::Str("GG".to_string())),
+                "repeats key `heuristic`",
+            ),
+            (misnamed_spec, "family has unknown key `n_task`"),
+        ];
+        for (value, needle) in strict {
+            let err = parse_request(&value).unwrap_err();
+            assert_eq!(
+                err.code,
+                ErrorCode::BadRequest,
+                "for {value:?}: {}",
+                err.message
+            );
+            assert!(
+                err.message.contains(needle),
+                "`{}` lacks {needle}",
+                err.message
+            );
+        }
     }
 
     #[test]
@@ -652,6 +697,14 @@ mod tests {
         let round = parse_request(&request_to_value(&req)).unwrap();
         assert_eq!(req.digest(), round.digest());
         assert_eq!(round.cost_model, Some(CostModelSpec::Analytic));
+
+        // Every key the writer emits is one the strict reader allows,
+        // the optional family `skew` and `rank` included.
+        let mut config = GeneratorConfig::new(WorkloadFamily::from_name("dense-la").unwrap());
+        config.skew = Some(1.25);
+        req.source = TraceSource::Family { config, rank: 2 };
+        let round = parse_request(&request_to_value(&req)).unwrap();
+        assert_eq!(req.digest(), round.digest());
     }
 
     #[test]

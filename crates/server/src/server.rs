@@ -43,7 +43,8 @@ use crate::protocol::{
     SolveRequest, TraceSource,
 };
 use dts_core::cache::{CacheStats, SolveCache};
-use dts_core::error::{CoreError, Result as CoreResult};
+use dts_core::doc;
+use dts_core::error::Result as CoreResult;
 use dts_core::hash::Digest128;
 use dts_core::metrics::ScheduleMetrics;
 use dts_core::pool::run_indexed_pool;
@@ -258,17 +259,7 @@ fn handle_payload(shared: &Shared, payload: &[u8]) -> String {
                 .to_json()
         }
     };
-    let value = match serde_json::from_str(text) {
-        Ok(value) => value,
-        Err(e) => {
-            return ErrorReply::new(
-                ErrorCode::BadFrame,
-                format!("payload is not valid JSON: {e}"),
-            )
-            .to_json()
-        }
-    };
-    let request = match parse_request(&value) {
+    let request = match doc::parse(text, parse_request) {
         Ok(request) => request,
         Err(reply) => return reply.to_json(),
     };
@@ -411,5 +402,5 @@ fn solve_request(request: &SolveRequest) -> CoreResult<String> {
         ),
         ("schedule".to_string(), schedule.to_value()),
     ]);
-    serde_json::to_string(&result).map_err(|e| CoreError::Serialization(e.to_string()))
+    Ok(serde_json::to_string(&result)?)
 }

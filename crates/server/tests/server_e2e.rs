@@ -160,6 +160,20 @@ fn solve_failures_map_to_typed_codes() {
         assert_error(&response, code);
     }
 
+    // A misspelled key gets a typed reply naming it instead of an answer
+    // at the default factor, and the same connection keeps serving.
+    let raw = client
+        .send_text(
+            r#"{"family":{"family":"md","n_tasks":4,"seed":1},"heuristic":"OS","facotr":0.5}"#,
+        )
+        .unwrap();
+    let response = serde_json::from_str(&raw).unwrap();
+    assert_error(&response, "bad-request");
+    let message = String::from_value(response.field("message").unwrap()).unwrap();
+    assert!(message.contains("unknown key `facotr`"), "{message}");
+    let response = client.send_request(&family_request(5)).unwrap();
+    assert_eq!(status_of(&response), "ok");
+
     // Scaling the capacity below the largest task is detected as
     // infeasible at instance-build time.
     let mut infeasible = family_request(3);

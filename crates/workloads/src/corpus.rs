@@ -22,10 +22,10 @@
 //! and puts the diff in front of a reviewer.
 
 use crate::families::{generate_trace, GeneratorConfig, WorkloadFamily};
+use dts_core::doc::{self, At};
 use dts_core::memory::MemoryProfile;
 use dts_core::prelude::*;
 use dts_heuristics::{run_heuristic_with, Heuristic};
-use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -180,77 +180,48 @@ pub fn render_golden(metrics: &CorpusMetrics) -> String {
     out
 }
 
-fn invalid(msg: impl Into<String>) -> CoreError {
-    CoreError::InvalidTrace(msg.into())
-}
-
-fn uint(value: &Value, path: &str) -> Result<u64> {
-    match value {
-        Value::UInt(n) => Ok(*n),
-        other => Err(invalid(format!(
-            "golden {path} must be a non-negative integer, got {}",
-            other.kind()
-        ))),
-    }
-}
+/// The root of the golden file in reader messages.
+const GOLDEN: At<'static, CoreError> = At::Root("golden file", CoreError::InvalidTrace);
 
 /// Parses a golden file back into corpus metrics (strict: unknown
-/// versions and malformed entries are rejected, mirroring the trace
-/// importer's discipline).
+/// versions, unknown, repeated or missing keys and malformed metrics are
+/// rejected by the shared reader of [`dts_core::doc`], as trace files
+/// are).
 pub fn parse_golden(json: &str) -> Result<CorpusMetrics> {
-    let value: Value =
-        serde_json::from_str(json).map_err(|e| CoreError::Serialization(e.to_string()))?;
-    let version = uint(
-        value.field("version").map_err(|e| invalid(e.to_string()))?,
-        "version",
-    )?;
-    if version != GOLDEN_VERSION {
-        return Err(invalid(format!(
-            "unsupported golden version {version}; this build reads version {GOLDEN_VERSION} only"
-        )));
-    }
-    let entries = match value.field("entries").map_err(|e| invalid(e.to_string()))? {
-        Value::Object(fields) => fields,
-        other => {
-            return Err(invalid(format!(
-                "golden entries must be an object, got {}",
-                other.kind()
-            )))
+    doc::parse(json, |value| {
+        let [version, entries] = doc::keyed(value, &["version", "entries"], GOLDEN)?;
+        let version = doc::uint(version, "version", GOLDEN)?;
+        if version != GOLDEN_VERSION {
+            return Err(GOLDEN.error(format!(
+                "unsupported golden version {version}; this build reads version {GOLDEN_VERSION} only"
+            )));
         }
-    };
-    let mut out = BTreeMap::new();
-    for (key, entry) in entries {
-        let record = MetricRecord {
-            makespan_us: uint(
-                entry
-                    .field("makespan_us")
-                    .map_err(|e| invalid(e.to_string()))?,
-                key,
-            )?,
-            cpu_idle_us: uint(
-                entry
-                    .field("cpu_idle_us")
-                    .map_err(|e| invalid(e.to_string()))?,
-                key,
-            )?,
-            peak_mem_bytes: uint(
-                entry
-                    .field("peak_mem_bytes")
-                    .map_err(|e| invalid(e.to_string()))?,
-                key,
-            )?,
-            reordered_tasks: uint(
-                entry
-                    .field("reordered_tasks")
-                    .map_err(|e| invalid(e.to_string()))?,
-                key,
-            )?,
-        };
-        if out.insert(key.clone(), record).is_some() {
-            return Err(invalid(format!("golden file repeats entry `{key}`")));
+        let entries_at = GOLDEN.key("entries");
+        let mut out = BTreeMap::new();
+        for (key, entry) in doc::object(entries, "entries", GOLDEN)? {
+            let at = entries_at.key(key);
+            let [makespan, idle, peak, reordered] = doc::keyed(
+                entry,
+                &[
+                    "makespan_us",
+                    "cpu_idle_us",
+                    "peak_mem_bytes",
+                    "reordered_tasks",
+                ],
+                at,
+            )?;
+            let record = MetricRecord {
+                makespan_us: doc::uint(makespan, "makespan_us", at)?,
+                cpu_idle_us: doc::uint(idle, "cpu_idle_us", at)?,
+                peak_mem_bytes: doc::uint(peak, "peak_mem_bytes", at)?,
+                reordered_tasks: doc::uint(reordered, "reordered_tasks", at)?,
+            };
+            if out.insert(key.clone(), record).is_some() {
+                return Err(at.error(format!("{entries_at} repeats key `{key}`")));
+            }
         }
-    }
-    Ok(out)
+        Ok(out)
+    })
 }
 
 /// The outcome of comparing a fresh corpus run against the golden file.
@@ -379,6 +350,38 @@ mod tests {
             parse_golden("{\"version\": 1, \"entries\": {\"k\": {\"makespan_us\": -1, \"cpu_idle_us\": 0, \"peak_mem_bytes\": 0, \"reordered_tasks\": 0}}}"),
             Err(CoreError::InvalidTrace(_))
         ));
+        let reject = |json: &str, needle: &str| match parse_golden(json) {
+            Err(CoreError::InvalidTrace(msg)) => {
+                assert!(msg.contains(needle), "`{msg}` does not mention `{needle}`")
+            }
+            other => panic!("expected InvalidTrace mentioning `{needle}`, got {other:?}"),
+        };
+        let valid = render_golden(&sample_metrics());
+        // An extra metric key in an entry, and a missing metric.
+        reject(
+            &valid.replace(
+                "\"reordered_tasks\": 7",
+                "\"reordered_tasks\": 7, \"extra\": 1",
+            ),
+            "entries.md/GG/duplex has unknown key `extra`",
+        );
+        reject(
+            &valid.replace(", \"reordered_tasks\": 7", ""),
+            "entries.md/GG/duplex is missing required key `reordered_tasks`",
+        );
+        // Unknown and repeated keys in the envelope; repeated entries.
+        reject(
+            &valid.replace("\"version\": 1,", "\"version\": 1, \"note\": 0,"),
+            "golden file has unknown key `note`",
+        );
+        reject(
+            &valid.replace("\"version\": 1,", "\"version\": 1, \"version\": 1,"),
+            "golden file repeats key `version`",
+        );
+        reject(
+            &valid.replace("md/OS/explicit", "md/GG/duplex"),
+            "entries repeats key `md/GG/duplex`",
+        );
     }
 
     #[test]
