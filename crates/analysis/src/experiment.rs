@@ -10,11 +10,11 @@ use dts_heuristics::{
     run_heuristic, Heuristic, HeuristicCategory,
 };
 use dts_milp::lp_k_sweep;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One aggregated experiment data point: a heuristic (or category/lp.k
 /// label) at a capacity factor, summarized over all traces of a suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentRow {
     /// Kernel of the suite (`"HF"` / `"CCSD"`).
     pub kernel: String,

@@ -1,10 +1,10 @@
 //! Descriptive statistics for the box plots of the evaluation section.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Box-plot summary of a sample: median, quartiles, whiskers (1.5 IQR rule)
 /// and outliers, exactly what Figs. 9 and 11 of the paper display.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BoxplotStats {
     /// Number of observations.
     pub count: usize,

@@ -5,7 +5,7 @@ use dts_core::pool::run_indexed_pool;
 use dts_core::prelude::*;
 use dts_flowshop::johnson::johnson_makespan;
 use dts_heuristics::{run_heuristic, Heuristic};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The capacity factors of the paper's evaluation: `mc` to `2·mc` in steps
 /// of `0.125·mc`.
@@ -32,7 +32,7 @@ impl Default for SweepConfig {
 }
 
 /// One measurement: a heuristic on one trace at one capacity factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepRow {
     /// Kernel of the trace (`"HF"` / `"CCSD"`).
     pub kernel: String,

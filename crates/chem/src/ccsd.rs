@@ -13,10 +13,10 @@ use dts_ga::{GaRuntime, GlobalArray, Topology, TransferModel};
 use dts_tensor::{ContractionSpec, CostModel, KernelCost, TileShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the CCSD trace generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CcsdConfig {
     /// Number of occupied-index tile blocks.
     pub n_occ_tiles: usize,

@@ -14,10 +14,10 @@ use dts_ga::{GaRuntime, GlobalArray, Topology, TransferModel};
 use dts_tensor::{ContractionSpec, CostModel, KernelCost, TileShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the HF trace generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HfConfig {
     /// Number of shell-block tiles of the density/Fock matrices.
     pub n_shell_tiles: usize,

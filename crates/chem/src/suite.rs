@@ -5,10 +5,10 @@ use crate::hf::{generate_hf_trace, HfConfig};
 use crate::trace::Trace;
 use dts_ga::{Topology, TransferModel};
 use dts_tensor::CostModel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which molecular-chemistry kernel to generate traces for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Kernel {
     /// Hartree–Fock (SiOSi-like input, tile size 100).
     HartreeFock,

@@ -504,6 +504,33 @@ mod tests {
     }
 
     #[test]
+    fn every_constructor_rejects_an_oversized_task() {
+        // "Non-empty, every task fits" is a type invariant of `Instance`:
+        // each constructor checks it, so no executor re-checks it.
+        let oversized = |r: Result<Instance>| {
+            assert!(
+                matches!(r, Err(CoreError::TaskExceedsCapacity { .. })),
+                "{r:?}"
+            )
+        };
+        let tiny = MemSize::from_bytes(176_127);
+        let tasks = || sample().to_instance_scaled(1.0).unwrap().tasks().to_vec();
+        oversized(Instance::new(tasks(), tiny));
+        oversized(InstanceBuilder::new().capacity(tiny).tasks(tasks()).build());
+        let fitting = Instance::new(tasks(), MemSize::from_bytes(176_128)).unwrap();
+        oversized(fitting.with_capacity(tiny));
+        oversized(sample().to_instance_scaled(0.99));
+        // A sub-instance keeps its parent's capacity, so it inherits the
+        // invariant and can only fail on its batch.
+        let sub = fitting.sub_instance(&[TaskId(1)]).unwrap();
+        assert_eq!(sub.capacity(), fitting.capacity());
+        assert_eq!(
+            fitting.sub_instance(&[]).unwrap_err(),
+            CoreError::EmptyInstance
+        );
+    }
+
+    #[test]
     fn min_capacity_is_largest_task() {
         assert_eq!(sample().min_capacity(), MemSize::from_bytes(176_128));
         assert_eq!(sample().len(), 2);

@@ -42,6 +42,7 @@ use dts_analysis::report::sweep_to_csv;
 use dts_analysis::sweep::{capacity_factors, run_trace_sweep, SweepConfig};
 use dts_chem::suite::{generate_partial_suite, SuiteConfig};
 use dts_chem::{characterize, Kernel, Trace};
+use dts_core::doc::{self, At};
 use dts_core::gantt;
 use dts_core::metrics::ScheduleMetrics;
 use dts_core::perfmodel::{self, CalibrationObservations};
@@ -51,7 +52,7 @@ use dts_heuristics::{run_heuristic, Heuristic};
 use dts_server::{Client, Server, ServerConfig, SolveRequest, TraceSource};
 use dts_workloads::corpus;
 use dts_workloads::families::{generate_trace, GeneratorConfig, WorkloadFamily};
-use serde::{Deserialize, Value};
+use serde::Value;
 use std::io::Write as _;
 use std::process::ExitCode;
 
@@ -648,57 +649,70 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
     let mut client = Client::connect(addr.as_str())
         .map_err(|e| format!("cannot reach daemon at {addr}: {e}"))?;
     let response = client.send_request(&request).map_err(|e| e.to_string())?;
-    print_response(&response)
+    print!("{}", render_response(&response)?);
+    Ok(())
 }
 
-/// Renders a daemon response; error replies become the process error.
-fn print_response(response: &Value) -> Result<(), String> {
-    let text = |name: &str| -> Result<String, String> {
-        response
-            .field(name)
-            .ok()
-            .and_then(|v| String::from_value(v).ok())
-            .ok_or_else(|| format!("malformed daemon response: missing '{name}'"))
-    };
-    if text("status")? != "ok" {
+/// Renders a daemon reply; an error reply becomes the process error. The
+/// reply is read with the strict document reader: an unknown, repeated or
+/// missing key in either envelope or in `result` is a "malformed daemon
+/// response" error naming the key.
+fn render_response(response: &Value) -> Result<String, String> {
+    fn malformed(msg: String) -> String {
+        format!("malformed daemon response: {msg}")
+    }
+    let at = At::Root("reply", malformed);
+    if !matches!(response.field("status"), Ok(Value::Str(s)) if s == "ok") {
+        let [status, code, message] = doc::keyed(response, &["status", "code", "message"], at)?;
+        let status = doc::string(status, "status", at)?;
+        if status != "error" {
+            let at = at.key("status");
+            return Err(at.error(format!("{at} must be `ok` or `error`, got `{status}`")));
+        }
         return Err(format!(
             "daemon error [{}]: {}",
-            text("code")?,
-            text("message")?
+            doc::string(code, "code", at)?,
+            doc::string(message, "message", at)?
         ));
     }
-    let cached = response
-        .field("cached")
-        .ok()
-        .and_then(|v| bool::from_value(v).ok())
-        .ok_or("malformed daemon response: missing 'cached'")?;
-    let result = response
-        .field("result")
-        .map_err(|_| "malformed daemon response: missing 'result'")?;
-    let result_text = |name: &str| -> Result<String, String> {
-        result
-            .field(name)
-            .ok()
-            .and_then(|v| String::from_value(v).ok())
-            .ok_or_else(|| format!("malformed daemon response: missing result '{name}'"))
-    };
-    let result_u64 = |name: &str| -> Result<u64, String> {
-        result
-            .field(name)
-            .ok()
-            .and_then(|v| u64::from_value(v).ok())
-            .ok_or_else(|| format!("malformed daemon response: missing result '{name}'"))
-    };
-    println!("status             ok");
-    println!("cached             {cached}");
-    println!("digest             {}", text("digest")?);
-    println!("heuristic          {}", result_text("heuristic")?);
-    println!("model              {}", result_text("model")?);
-    println!("tasks              {}", result_u64("n_tasks")?);
-    println!("makespan           {} us", result_u64("makespan_us")?);
-    println!("comm idle          {} us", result_u64("comm_idle_us")?);
-    println!("comp idle          {} us", result_u64("comp_idle_us")?);
-    Ok(())
+    let [_, cached, digest, result] =
+        doc::keyed(response, &["status", "cached", "digest", "result"], at)?;
+    let cached = doc::boolean(cached, "cached", at)?;
+    let digest = doc::string(digest, "digest", at)?;
+    let result =
+        result.ok_or_else(|| at.error(format!("{at} is missing required key `result`")))?;
+    let at = at.key("result");
+    let [heuristic, model, n_tasks, makespan, comm_idle, comp_idle, schedule] = doc::keyed(
+        result,
+        &[
+            "heuristic",
+            "model",
+            "n_tasks",
+            "makespan_us",
+            "comm_idle_us",
+            "comp_idle_us",
+            "schedule",
+        ],
+        at,
+    )?;
+    doc::object(schedule, "schedule", at)?;
+    Ok(format!(
+        "status             ok\n\
+         cached             {cached}\n\
+         digest             {digest}\n\
+         heuristic          {}\n\
+         model              {}\n\
+         tasks              {}\n\
+         makespan           {} us\n\
+         comm idle          {} us\n\
+         comp idle          {} us\n",
+        doc::string(heuristic, "heuristic", at)?,
+        doc::string(model, "model", at)?,
+        doc::uint(n_tasks, "n_tasks", at)?,
+        doc::uint(makespan, "makespan_us", at)?,
+        doc::uint(comm_idle, "comm_idle_us", at)?,
+        doc::uint(comp_idle, "comp_idle_us", at)?,
+    ))
 }
 
 fn load_trace(path: &str) -> Result<Trace, String> {
@@ -812,4 +826,50 @@ fn cmd_demo() -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const OK: &str = r#"{"status":"ok","cached":true,"digest":"d1","result":{"heuristic":"OS","model":"explicit","n_tasks":2,"makespan_us":30,"comm_idle_us":4,"comp_idle_us":5,"schedule":{"entries":[]}}}"#;
+
+    fn render(json: &str) -> Result<String, String> {
+        render_response(&serde_json::from_str(json).unwrap())
+    }
+
+    #[test]
+    fn replies_are_read_strictly() {
+        let text = render(OK).unwrap();
+        assert!(text.starts_with("status             ok\ncached             true\n"));
+        assert!(text.ends_with("comp idle          5 us\n"));
+        assert_eq!(
+            render(r#"{"status":"error","code":"infeasible","message":"no"}"#).unwrap_err(),
+            "daemon error [infeasible]: no"
+        );
+        for (json, needle) in [
+            (
+                OK.replace("\"digest\"", "\"digets\""),
+                "unknown key `digets`",
+            ),
+            (
+                OK.replace("\"n_tasks\":2", "\"n_tasks\":2,\"n_tasks\":3"),
+                "result repeats key `n_tasks`",
+            ),
+            (
+                OK.replace(",\"comp_idle_us\":5", ""),
+                "result is missing required key `comp_idle_us`",
+            ),
+            (
+                r#"{"status":"error","code":"x"}"#.to_string(),
+                "missing required key `message`",
+            ),
+        ] {
+            let err = render(&json).unwrap_err();
+            assert!(
+                err.starts_with("malformed daemon response: ") && err.contains(needle),
+                "{json}: {err}"
+            );
+        }
+    }
 }

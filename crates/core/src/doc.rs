@@ -1,15 +1,15 @@
 //! Strict reading of JSON documents.
 //!
 //! Every JSON document the workspace reads — `dts-trace` files,
-//! `dts-cost-model` files, the corpus golden file and daemon requests —
-//! is checked by this one helper set, so the rules are the same at every
+//! `dts-cost-model` files, the corpus golden file, daemon requests and
+//! the daemon replies `dts request` prints — is checked by this one helper set, so the rules are the same at every
 //! door:
 //!
 //! * [`keyed`] splits an object into one slot per allowed key; a key
 //!   outside the list and a key given twice are both errors naming the
 //!   key, so a misspelled field fails loudly instead of being ignored;
-//! * [`string`], [`uint`], [`size`], [`number`], [`array()`] and
-//!   [`object`] read one required slot, naming the JSON path of a
+//! * [`string`], [`boolean`], [`uint`], [`size`], [`number`], [`array()`]
+//!   and [`object`] read one required slot, naming the JSON path of a
 //!   missing or mistyped value (a non-negative integer gets separate
 //!   messages for negative, non-integer and non-number values);
 //! * an [`At`] is the location of a value: the path string is built only
@@ -120,6 +120,14 @@ pub fn string<'v, E>(slot: Option<&'v Value>, key: &str, at: At<'_, E>) -> Resul
     match slot {
         Some(Value::Str(s)) => Ok(s),
         _ => Err(mistyped(slot, key, at, "a string")),
+    }
+}
+
+/// A required boolean.
+pub fn boolean<E>(slot: Option<&Value>, key: &str, at: At<'_, E>) -> Result<bool, E> {
+    match slot {
+        Some(Value::Bool(b)) => Ok(*b),
+        _ => Err(mistyped(slot, key, at, "a boolean")),
     }
 }
 

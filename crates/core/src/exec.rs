@@ -35,7 +35,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::time::Time;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Serialize, Value};
 use std::fmt;
 
 /// Fraction of the overlappable window actually overlapped by the
@@ -56,16 +56,6 @@ pub struct OverlapEfficiency(u32);
 impl Serialize for OverlapEfficiency {
     fn to_value(&self) -> Value {
         Value::UInt(u64::from(self.0))
-    }
-}
-
-impl Deserialize for OverlapEfficiency {
-    // Hand-written so deserialization funnels through the same ppm bound
-    // check as every other constructor (the vendored derive has no
-    // `try_from` support).
-    fn from_value(value: &Value) -> std::result::Result<Self, SerdeError> {
-        let ppm = u32::from_value(value)?;
-        OverlapEfficiency::from_ppm(ppm).map_err(SerdeError::custom)
     }
 }
 
@@ -153,7 +143,7 @@ impl fmt::Display for OverlapEfficiency {
 /// How transfers share the communication medium (and, for
 /// [`Implicit`](ExecutionModel::Implicit), the CPU). See the module docs
 /// for the semantics of each strategy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub enum ExecutionModel {
     /// Single half-duplex channel; transfers strictly serialized. The
     /// paper's model and the pinned baseline of the equivalence suites.
@@ -239,9 +229,8 @@ impl ExecutionModel {
         }
     }
 
-    /// Validates a model that bypassed [`ExecutionModel::parse`] (e.g. one
-    /// deserialized from JSON or constructed directly): `Streams` needs at
-    /// least one channel.
+    /// Validates a model that bypassed [`ExecutionModel::parse`] (one
+    /// constructed directly): `Streams` needs at least one channel.
     pub fn validate(&self) -> Result<()> {
         match self {
             ExecutionModel::Streams { k: 0 } => Err(CoreError::InvalidExecutionModel(
@@ -387,10 +376,12 @@ mod tests {
             OverlapEfficiency::from_f64(1.0).unwrap(),
             OverlapEfficiency::FULL
         );
-        // Serde goes through the same validation.
-        assert!(serde_json::from_str::<OverlapEfficiency>("2000000").is_err());
-        let eff: OverlapEfficiency = serde_json::from_str("750000").unwrap();
-        assert_eq!(eff, OverlapEfficiency::from_f64(0.75).unwrap());
+        // The ppm constructors share the bound.
+        assert!(OverlapEfficiency::try_from(2_000_000).is_err());
+        assert_eq!(
+            OverlapEfficiency::from_ppm(750_000).unwrap(),
+            OverlapEfficiency::from_f64(0.75).unwrap()
+        );
     }
 
     #[test]
@@ -448,15 +439,20 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        for model in [
-            ExecutionModel::Explicit,
-            ExecutionModel::Duplex,
-            ExecutionModel::Streams { k: 3 },
-            ExecutionModel::IMPLICIT_FULL,
+        // The serialized form survives JSON text unchanged, in serde's
+        // external tagging.
+        for (model, json) in [
+            (ExecutionModel::Explicit, r#""Explicit""#),
+            (ExecutionModel::Duplex, r#""Duplex""#),
+            (ExecutionModel::Streams { k: 3 }, r#"{"Streams":{"k":3}}"#),
+            (
+                ExecutionModel::IMPLICIT_FULL,
+                r#"{"Implicit":{"efficiency":1000000}}"#,
+            ),
         ] {
-            let json = serde_json::to_string(&model).unwrap();
-            let back: ExecutionModel = serde_json::from_str(&json).unwrap();
-            assert_eq!(model, back);
+            assert_eq!(serde_json::to_string(&model).unwrap(), json);
+            let back: Value = serde_json::from_str(json).unwrap();
+            assert_eq!(back, model.to_value());
         }
     }
 }

@@ -16,12 +16,12 @@ use crate::memory::{MemSize, MemoryProfile};
 use crate::schedule::Schedule;
 use crate::task::TaskId;
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 use std::fmt;
 
 /// A single feasibility violation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum Violation {
     /// A task of the instance is missing from the schedule.
     MissingTask(TaskId),

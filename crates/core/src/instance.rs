@@ -6,7 +6,7 @@ use crate::memory::MemSize;
 use crate::perfmodel::{ComputeBackend, CostModel, CostModelSpec, LinkClass};
 use crate::task::{Task, TaskId, TaskIntensity};
 use crate::time::Time;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::Serialize;
 
 /// An instance of problem `DT`: independent tasks, a single communication
 /// link, a single processing unit and a local memory of capacity
@@ -18,52 +18,11 @@ pub struct Instance {
     /// Optional label (trace file name, table number, ...).
     pub label: String,
     /// Execution model the instance is meant to run under; absent (the
-    /// common case, and every pre-existing serialized instance) means the
-    /// paper's [`ExecutionModel::Explicit`].
+    /// common case) means the paper's [`ExecutionModel::Explicit`].
     model: Option<ExecutionModel>,
     /// Cost model the task durations were materialized under; absent means
     /// the analytic default (the durations are the trace's own numbers).
     cost_model: Option<CostModelSpec>,
-}
-
-// Hand-written (de)serialization so the `model` key is omitted when absent
-// and optional when read: every instance serialized before the
-// execution-model layer existed keeps loading (and printing) unchanged.
-impl Serialize for Instance {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("tasks".to_string(), self.tasks.to_value()),
-            ("capacity".to_string(), self.capacity.to_value()),
-            ("label".to_string(), self.label.to_value()),
-        ];
-        if let Some(model) = &self.model {
-            fields.push(("model".to_string(), model.to_value()));
-        }
-        if let Some(cost_model) = &self.cost_model {
-            fields.push(("cost_model".to_string(), cost_model.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for Instance {
-    fn from_value(value: &Value) -> std::result::Result<Self, SerdeError> {
-        let model = match value.field("model") {
-            Ok(v) => Option::<ExecutionModel>::from_value(v)?,
-            Err(_) => None,
-        };
-        let cost_model = match value.field("cost_model") {
-            Ok(v) => Option::<CostModelSpec>::from_value(v)?.filter(|m| !m.is_analytic()),
-            Err(_) => None,
-        };
-        Ok(Instance {
-            tasks: Deserialize::from_value(value.field("tasks")?)?,
-            capacity: Deserialize::from_value(value.field("capacity")?)?,
-            label: Deserialize::from_value(value.field("label")?)?,
-            model,
-            cost_model,
-        })
-    }
 }
 
 impl Instance {
@@ -91,7 +50,7 @@ impl Instance {
 
     /// The execution model the instance runs under;
     /// [`ExecutionModel::Explicit`] unless one was attached with
-    /// [`Instance::with_model`] (or carried by the serialized form).
+    /// [`Instance::with_model`].
     #[inline]
     pub fn model(&self) -> ExecutionModel {
         self.model.unwrap_or_default()
@@ -110,7 +69,7 @@ impl Instance {
 
     /// The cost model the task durations were materialized under;
     /// [`CostModelSpec::Analytic`] unless one was applied with
-    /// [`Instance::with_cost_model`] (or carried by the serialized form).
+    /// [`Instance::with_cost_model`].
     #[inline]
     pub fn cost_model(&self) -> CostModelSpec {
         self.cost_model.clone().unwrap_or_default()
@@ -160,11 +119,11 @@ impl Instance {
     }
 
     /// Checks that every task individually fits in the capacity, returning
-    /// [`CoreError::TaskExceedsCapacity`] for the lowest-id violator.
-    /// Construction enforces this invariant, but instances deserialized from
-    /// untrusted sources bypass it, so executors re-validate before running —
-    /// an oversized task can never be scheduled, only waited on forever.
-    pub fn check_tasks_fit(&self) -> Result<()> {
+    /// [`CoreError::TaskExceedsCapacity`] for the lowest-id violator. Every
+    /// instance goes through [`Instance::with_label`], so no executor has
+    /// to re-check: an oversized task could never be scheduled, only
+    /// waited on forever.
+    fn check_tasks_fit(&self) -> Result<()> {
         for (id, task) in self.iter() {
             if task.mem > self.capacity {
                 return Err(CoreError::TaskExceedsCapacity {
@@ -298,7 +257,7 @@ impl Instance {
 
 /// Aggregate characteristics of an instance, matching the quantities plotted
 /// in Fig. 8 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct InstanceStats {
     /// Number of tasks.
     pub n_tasks: usize,
@@ -494,31 +453,16 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let inst = sample();
-        let json = serde_json::to_string(&inst).unwrap();
-        let back: Instance = serde_json::from_str(&json).unwrap();
-        assert_eq!(inst, back);
-    }
-
-    #[test]
     fn model_defaults_to_explicit_and_round_trips() {
         use crate::exec::ExecutionModel;
         let inst = sample();
         assert_eq!(inst.model(), ExecutionModel::Explicit);
-        // Plain instances serialize without a model key, so pre-existing
-        // JSON fixtures keep deserializing (and comparing) unchanged.
-        let json = serde_json::to_string(&inst).unwrap();
-        assert!(!json.contains("model"));
-
         let duplex = inst.with_model(ExecutionModel::Duplex).unwrap();
         assert_eq!(duplex.model(), ExecutionModel::Duplex);
-        let back: Instance =
-            serde_json::from_str(&serde_json::to_string(&duplex).unwrap()).unwrap();
-        assert_eq!(back.model(), ExecutionModel::Duplex);
         // Attaching Explicit is a no-op that keeps equality with the plain
-        // instance.
+        // instance, also on the way back from another model.
         assert_eq!(inst.with_model(ExecutionModel::Explicit).unwrap(), inst);
+        assert_eq!(duplex.with_model(ExecutionModel::Explicit).unwrap(), inst);
         // Invalid models are rejected, not stored.
         assert!(inst.with_model(ExecutionModel::Streams { k: 0 }).is_err());
     }
@@ -575,14 +519,12 @@ mod tests {
     #[test]
     fn cost_model_round_trips_and_stays_absent_by_default() {
         let inst = sample();
-        let json = serde_json::to_string(&inst).unwrap();
-        assert!(!json.contains("cost_model"));
-
+        assert_eq!(inst.cost_model(), CostModelSpec::Analytic);
         let modeled = inst.with_cost_model(&sample_regression_spec()).unwrap();
-        let back: Instance =
-            serde_json::from_str(&serde_json::to_string(&modeled).unwrap()).unwrap();
-        assert_eq!(back, modeled);
-        assert_eq!(back.cost_model(), sample_regression_spec());
+        assert_eq!(modeled.cost_model(), sample_regression_spec());
+        // Capacity and label ride along unchanged.
+        assert_eq!(modeled.capacity(), inst.capacity());
+        assert_eq!(modeled.label, inst.label);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! * [`index`] — the memory-indexed candidate structure used by the
 //!   decision-driven heuristics to select tasks in O(log n) per decision,
 //! * [`pool`] — the shared work-stealing pool behind the parallel solve
-//!   layers (suite sweeps, batched scheduling, `lp.k` sweeps),
+//!   layers (suite sweeps, the daemon's request batches),
 //! * [`hash`] — stable 128-bit content hashing (cache keys that survive
 //!   process and platform boundaries),
 //! * [`cache`] — the bounded solve-once cache behind the scheduling
@@ -47,9 +47,10 @@
 //! * [`metrics`] — makespan, idle-time and overlap metrics,
 //! * [`gantt`] — ASCII Gantt rendering of schedules,
 //! * [`instances`] — the example instances of Tables 2–5 of the paper and
-//!   random-instance generators used by tests and benchmarks,
-//! * [`testgen`] — shrinkable `microcheck` generators for tasks and
-//!   instances, shared by the property tests across the workspace.
+//!   random-instance generators used by tests and benchmarks.
+//!
+//! The shrinkable property-test generators live in the dev-only
+//! `dts_testgen` crate, so no production binary links `microcheck`.
 
 #![warn(missing_docs)]
 
@@ -71,7 +72,6 @@ pub mod schedule;
 pub mod simulate;
 pub mod sync;
 pub mod task;
-pub mod testgen;
 pub mod time;
 
 pub use cache::SolveCache;

@@ -3,7 +3,7 @@
 use crate::instance::Instance;
 use crate::schedule::Schedule;
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
@@ -14,9 +14,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// communication time expressed in units; trace-based instances use real byte
 /// counts. Either way the checker only compares sums against the capacity, so
 /// a plain integer newtype suffices.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct MemSize(pub u64);
 
@@ -157,7 +155,7 @@ impl fmt::Display for MemSize {
 
 /// A step in a memory-occupation profile: the amount of memory in use from
 /// `time` (inclusive) until the next step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MemoryStep {
     /// Instant at which the occupation changes to `used`.
     pub time: Time,
@@ -170,7 +168,7 @@ pub struct MemoryStep {
 /// A task occupies its memory from the start of its communication to the end
 /// of its computation (problem `DT`'s memory model). The profile is the sum
 /// of these occupation intervals, represented as a sorted list of steps.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct MemoryProfile {
     steps: Vec<MemoryStep>,
 }

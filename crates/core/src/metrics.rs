@@ -3,7 +3,7 @@
 use crate::instance::Instance;
 use crate::schedule::Schedule;
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Summary metrics of a schedule.
 ///
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// `r(H) = makespan(H) / OMIM`; [`ScheduleMetrics::ratio_to`] computes it
 /// given the `OMIM` bound. The other fields quantify how much
 /// communication/computation overlap the schedule achieves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ScheduleMetrics {
     /// Completion time of the last computation.
     pub makespan: Time,

@@ -38,7 +38,7 @@ use crate::doc::{self, At};
 use crate::error::{CoreError, Result};
 use crate::task::Task;
 use crate::time::Time;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Serialize, Value};
 use std::fmt;
 use std::path::Path;
 
@@ -826,8 +826,7 @@ pub fn is_analytic_keyword(word: &str) -> bool {
 /// Reads an embedded cost-model value: the `analytic` keyword (see
 /// [`is_analytic_keyword`]) or a full model-file object with the strict
 /// validation of [`import_model`]. The one reader behind the `cost_model`
-/// key of traces and daemon requests and [`CostModelSpec`]'s
-/// `Deserialize`.
+/// key of traces and daemon requests.
 pub fn spec_from_value(value: &Value) -> Result<CostModelSpec> {
     match value {
         Value::Str(word) if is_analytic_keyword(word) => Ok(CostModelSpec::Analytic),
@@ -855,7 +854,7 @@ pub fn import_model_file(path: &Path) -> Result<CostModelSpec> {
 }
 
 // The spec serializes as its file Value (or the literal string
-// "analytic"), so instances, traces and solve requests can embed it with
+// "analytic"), so traces and solve requests can embed it with
 // the exact same strict validation as the standalone file.
 impl Serialize for CostModelSpec {
     fn to_value(&self) -> Value {
@@ -866,12 +865,6 @@ impl Serialize for CostModelSpec {
             // validate() before any serialization path reaches here.
             Err(_) => Value::Str("analytic".to_string()),
         }
-    }
-}
-
-impl Deserialize for CostModelSpec {
-    fn from_value(value: &Value) -> std::result::Result<Self, SerdeError> {
-        spec_from_value(value).map_err(SerdeError::custom)
     }
 }
 
@@ -1333,16 +1326,16 @@ mod tests {
     fn spec_serde_round_trips_and_accepts_the_analytic_keyword() {
         let spec = regression_spec();
         let value = spec.to_value();
-        assert_eq!(CostModelSpec::from_value(&value).unwrap(), spec);
+        assert_eq!(spec_from_value(&value).unwrap(), spec);
         assert_eq!(
-            CostModelSpec::from_value(&Value::Str("analytic".into())).unwrap(),
+            spec_from_value(&Value::Str("analytic".into())).unwrap(),
             CostModelSpec::Analytic
         );
         assert_eq!(
-            CostModelSpec::from_value(&Value::Str("Analytic".into())).unwrap(),
+            spec_from_value(&Value::Str("Analytic".into())).unwrap(),
             CostModelSpec::Analytic
         );
-        assert!(CostModelSpec::from_value(&Value::Str("bogus".into())).is_err());
+        assert!(spec_from_value(&Value::Str("bogus".into())).is_err());
     }
 
     #[test]

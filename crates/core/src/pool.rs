@@ -1,10 +1,10 @@
 //! Shared work-stealing pool for embarrassingly-parallel solve layers.
 //!
-//! The capacity sweeps, the batched scheduler and the `lp.k` window-size
-//! sweep all have the same shape: `n` independent jobs indexed `0..n`,
-//! results needed back in index order, and the error of the
-//! lowest-indexed failing job must be reported (that is the error a plain
-//! sequential loop reports, since such a loop stops at the first failure).
+//! The suite sweeps and the daemon's request batches have the same shape:
+//! `n` independent jobs indexed `0..n`, results needed back in index
+//! order, and the error of the lowest-indexed failing job must be
+//! reported (that is the error a plain sequential loop reports, since such
+//! a loop stops at the first failure).
 //! [`run_indexed_pool`] implements that contract once, so the concurrency
 //! subtleties — work stealing, abort on failure, panic containment,
 //! deterministic merge — live in a single place.

@@ -4,10 +4,10 @@
 use crate::instance::Instance;
 use crate::task::TaskId;
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Start times of one task on the two resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ScheduleEntry {
     /// The task being scheduled.
     pub task: TaskId,
@@ -26,7 +26,7 @@ pub struct ScheduleEntry {
 /// resource order is needed (they sort by start time and are therefore
 /// correct even for schedules built in arbitrary entry order, e.g. by the
 /// MILP solver).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct Schedule {
     entries: Vec<ScheduleEntry>,
 }
@@ -201,8 +201,13 @@ mod tests {
         let sched: Schedule = vec![entry(0, 0.0, 2.0), entry(1, 2.0, 5.0)]
             .into_iter()
             .collect();
+        // The daemon's reply embeds this document as its `schedule`.
         let json = serde_json::to_string(&sched).unwrap();
-        let back: Schedule = serde_json::from_str(&json).unwrap();
-        assert_eq!(sched, back);
+        assert_eq!(
+            json,
+            r#"{"entries":[{"task":0,"comm_start":0,"comp_start":2000},{"task":1,"comm_start":2000,"comp_start":5000}]}"#
+        );
+        let back: serde::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, sched.to_value());
     }
 }

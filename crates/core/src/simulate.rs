@@ -188,10 +188,9 @@ pub fn simulate_sequence_infinite(
 ///
 /// Returns [`CoreError::NotAPermutation`], [`CoreError::DuplicateTask`] or
 /// [`CoreError::UnknownTask`] for an invalid order, and
-/// [`CoreError::TaskExceedsCapacity`] if a task can never fit in the
-/// instance's memory (possible only for instances that bypassed
-/// [`Instance::new`] validation, e.g. deserialized ones), and
-/// [`CoreError::InvalidExecutionModel`] for an invalid `model`.
+/// [`CoreError::InvalidExecutionModel`] for an invalid `model`. Every task
+/// fits the capacity on its own (an [`Instance`] invariant), so a memory
+/// wait always ends.
 ///
 /// Memory semantics are shared by all models: a task holds its memory from
 /// the start of its (fused or plain) transfer to the end of its
@@ -203,10 +202,6 @@ pub fn simulate_sequence(
 ) -> Result<Schedule> {
     check_permutation(instance, order)?;
     model.validate()?;
-    // A task larger than the whole memory can never fit; waiting for
-    // releases would drain the queue and underflow. Construction enforces
-    // this, but deserialized instances can violate it.
-    instance.check_tasks_fit()?;
     let capacity = instance.capacity();
     let mut schedule = Schedule::with_capacity(order.len());
     let explicit = model.is_explicit();
@@ -247,7 +242,7 @@ pub fn simulate_sequence(
         // If the task still does not fit, wait for further releases. Memory
         // only decreases until we acquire, so stepping through release
         // instants finds the earliest feasible start. The queue cannot run
-        // dry: `need <= capacity` was checked above, so a non-fitting task
+        // dry: `need <= capacity` holds for every instance, so a non-fitting task
         // implies some memory is still held. An overflowing u64 sum cannot
         // fit either (`capacity <= u64::MAX`), so treat it as over capacity;
         // `held` then stays an exact sum, acquisitions are bounded by the
@@ -428,52 +423,20 @@ mod tests {
     }
 
     #[test]
-    fn oversized_task_returns_error_instead_of_panicking() {
-        // `Instance::new` rejects tasks larger than the capacity, but an
-        // instance deserialized from untrusted JSON can carry one; the
-        // executor must fail cleanly rather than drain the release queue and
-        // panic.
-        let json = r#"{
-            "tasks": [
-                {"name": "small", "comm_time": 1000, "comp_time": 1000, "mem": 2},
-                {"name": "huge", "comm_time": 2000, "comp_time": 1000, "mem": 9}
-            ],
-            "capacity": 4,
-            "label": "malformed"
-        }"#;
-        let inst: Instance = serde_json::from_str(json).unwrap();
-        let order = inst.task_ids();
-        assert_eq!(
-            simulate_sequence(&inst, &order, inst.model()).unwrap_err(),
-            CoreError::TaskExceedsCapacity {
-                task: TaskId(1),
-                name: "huge".into(),
-            }
-        );
-        // The infinite-memory executor ignores the capacity by design.
-        assert!(simulate_sequence_infinite(&inst, &order, inst.model()).is_ok());
-    }
-
-    #[test]
     fn u64_scale_memory_does_not_overflow_the_accounting() {
         // Each task fits the capacity on its own, but their sum overflows
         // u64. The overflowing sum must count as "does not fit" (an exact
         // sum would exceed any u64 capacity), so the executor serializes the
         // tasks instead of panicking or wrapping into a full-memory-is-free
         // schedule; the release bookkeeping must then drain exactly.
-        let huge = u64::MAX;
-        let json = format!(
-            r#"{{
-                "tasks": [
-                    {{"name": "a", "comm_time": 1000, "comp_time": 1000, "mem": {huge}}},
-                    {{"name": "b", "comm_time": 1000, "comp_time": 1000, "mem": 2}},
-                    {{"name": "c", "comm_time": 1000, "comp_time": 1000, "mem": 2}}
-                ],
-                "capacity": {huge},
-                "label": "u64-scale"
-            }}"#
-        );
-        let inst: Instance = serde_json::from_str(&json).unwrap();
+        let huge = MemSize::from_bytes(u64::MAX);
+        let inst = InstanceBuilder::new()
+            .capacity(huge)
+            .task_units("a", 1.0, 1.0, u64::MAX)
+            .task_units("b", 1.0, 1.0, 2)
+            .task_units("c", 1.0, 1.0, 2)
+            .build()
+            .unwrap();
         let sched = simulate_sequence(&inst, &inst.task_ids(), inst.model()).unwrap();
         assert_eq!(sched.len(), 3);
         // b must wait for a's computation to release the whole memory.

@@ -11,7 +11,7 @@
 use dts_core::memory::MemoryProfile;
 use dts_core::prelude::*;
 use dts_core::simulate::simulate_sequence;
-use dts_core::testgen::{self, InstanceSpec};
+use dts_testgen::InstanceSpec;
 use rand::prelude::*;
 
 /// The seeded order the properties replay: a shuffle of the task ids, a
@@ -40,7 +40,7 @@ microcheck::property! {
     /// any order, the duplex makespan is at most the explicit one.
     fn duplex_never_worse_than_explicit(
         (spec, order_seed) in (
-            testgen::transfer_bound_instance_gen(1..=24),
+            dts_testgen::transfer_bound_instance_gen(1..=24),
             microcheck::gens::u64_in(0..=u64::MAX),
         ),
         cases = 120,
@@ -57,7 +57,7 @@ microcheck::property! {
     /// makespan is at most the explicit one.
     fn streams_never_worse_than_explicit(
         (spec, order_seed) in (
-            testgen::transfer_bound_instance_gen(1..=24),
+            dts_testgen::transfer_bound_instance_gen(1..=24),
             microcheck::gens::u64_in(0..=u64::MAX),
         ),
         cases = 80,
@@ -76,7 +76,7 @@ microcheck::property! {
     /// byte-identical schedule of the explicit model, on both executors.
     fn single_stream_is_exactly_explicit(
         (spec, order_seed) in (
-            testgen::transfer_bound_tie_heavy_instance_gen(1..=20),
+            dts_testgen::transfer_bound_tie_heavy_instance_gen(1..=20),
             microcheck::gens::u64_in(0..=u64::MAX),
         ),
         cases = 120,
@@ -95,7 +95,7 @@ microcheck::property! {
     /// any produced schedule never exceeds the instance's capacity.
     fn all_models_respect_memory_feasibility(
         (spec, order_seed) in (
-            testgen::transfer_bound_instance_gen(1..=24),
+            dts_testgen::transfer_bound_instance_gen(1..=24),
             microcheck::gens::u64_in(0..=u64::MAX),
         ),
         cases = 80,
@@ -137,7 +137,7 @@ microcheck::property! {
 #[test]
 fn broken_duplex_beats_streams_claim_shrinks_to_the_round_robin_witness() {
     let gen = (
-        testgen::transfer_bound_instance_gen(1..=16),
+        dts_testgen::transfer_bound_instance_gen(1..=16),
         microcheck::gens::u64_in(0..=u64::MAX),
     );
     let failure = microcheck::check(
@@ -181,7 +181,7 @@ fn broken_duplex_beats_streams_claim_shrinks_to_the_round_robin_witness() {
 #[test]
 fn broken_zero_efficiency_implicit_claim_shrinks_to_the_overlap_witness() {
     let gen = (
-        testgen::transfer_bound_instance_gen(1..=16),
+        dts_testgen::transfer_bound_instance_gen(1..=16),
         microcheck::gens::u64_in(0..=u64::MAX),
     );
     let failure = microcheck::check(

@@ -259,7 +259,7 @@ fn ratio_query_on_comm_only_index_panics() {
 /// a generated instance, checking every probe against the naive oracle.
 /// Pure function of `(spec, op_seed)`, so a failing interleaving shrinks
 /// with the instance.
-fn check_interleaved(spec: &dts_core::testgen::InstanceSpec, op_seed: u64) -> Result<(), String> {
+fn check_interleaved(spec: &dts_testgen::InstanceSpec, op_seed: u64) -> Result<(), String> {
     let instance = spec.build();
     let mut index = CandidateIndex::new(&instance);
     let mut comm_only = CandidateIndex::comm_only(&instance);
@@ -322,7 +322,7 @@ microcheck::property! {
     /// domain agree with the naive oracle at every step.
     fn interleavings_agree_with_the_oracle(
         (spec, op_seed) in (
-            dts_core::testgen::instance_gen(1..=40),
+            dts_testgen::instance_gen(1..=40),
             microcheck::gens::u64_in(0..=u64::MAX),
         ),
         cases = 150,
@@ -335,8 +335,8 @@ microcheck::property! {
     /// infinite acceleration ratios).
     fn tie_heavy_interleavings_agree_with_the_oracle(
         (spec, op_seed) in (
-            dts_core::testgen::instance_gen_with(
-                dts_core::testgen::tie_heavy_task_gen(),
+            dts_testgen::instance_gen_with(
+                dts_testgen::tie_heavy_task_gen(),
                 1..=18,
                 0..=2,
             ),
@@ -355,7 +355,7 @@ microcheck::property! {
     /// the bucketed search.
     fn continuous_comm_memory_cliff_interleavings_agree_with_the_oracle(
         (spec, op_seed) in (
-            dts_core::testgen::continuous_comm_memory_cliff_instance_gen(1..=60),
+            dts_testgen::continuous_comm_memory_cliff_instance_gen(1..=60),
             microcheck::gens::u64_in(0..=u64::MAX),
         ),
         cases = 100,
@@ -367,8 +367,8 @@ microcheck::property! {
     /// sentinel must stay distinguishable from a real `u64::MAX`-byte task.
     fn u64_scale_interleavings_agree_with_the_oracle(
         (spec, op_seed) in (
-            dts_core::testgen::instance_gen_with(
-                dts_core::testgen::task_gen(0..=3, 0..=3, u64::MAX - 3..=u64::MAX),
+            dts_testgen::instance_gen_with(
+                dts_testgen::task_gen(0..=3, 0..=3, u64::MAX - 3..=u64::MAX),
                 1..=10,
                 0..=1,
             ),
@@ -392,7 +392,7 @@ microcheck::property! {
 fn broken_memory_blindness_claim_shrinks_to_the_minimal_instance() {
     let failure = microcheck::check(
         &microcheck::Config::default(),
-        &dts_core::testgen::instance_gen(1..=40),
+        &dts_testgen::instance_gen(1..=40),
         |spec| {
             let instance = spec.build();
             let index = CandidateIndex::new(&instance);
@@ -420,7 +420,7 @@ fn broken_memory_blindness_claim_shrinks_to_the_minimal_instance() {
     // mem >= 2, so this is the unique minimum.
     assert_eq!(
         minimal.tasks,
-        vec![dts_core::testgen::TaskSpec {
+        vec![dts_testgen::TaskSpec {
             comm: 0,
             comp: 0,
             mem: 2,

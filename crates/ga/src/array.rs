@@ -1,13 +1,13 @@
 //! Tiled global arrays with deterministic tile ownership.
 
 use dts_tensor::TileShape;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A tiled, distributed array. Tiles are identified by a flat index into
 /// `tile_shapes`; ownership is assigned round-robin over the worker
 /// processes, which is how NWChem's TCE distributes its block-sparse tensors
 /// by default.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GlobalArray {
     /// Human-readable name (e.g. `"fock"`, `"t2"`, `"v2"`).
     pub name: String,

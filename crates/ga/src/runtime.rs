@@ -4,10 +4,10 @@ use crate::array::GlobalArray;
 use crate::topology::Topology;
 use crate::transfer::TransferModel;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Outcome of a `get` of one tile from a global array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GetOutcome {
     /// Bytes fetched.
     pub bytes: u64,
@@ -19,7 +19,7 @@ pub struct GetOutcome {
 }
 
 /// Aggregate communication statistics of one process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct CommStats {
     /// Number of remote `get` operations.
     pub remote_gets: u64,

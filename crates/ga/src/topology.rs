@@ -1,11 +1,11 @@
 //! Cluster topology: nodes and process placement.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A homogeneous cluster: `nodes` nodes, each running `workers_per_node`
 /// worker processes (Global Arrays dedicates one core per node to progress,
 /// so a 16-core Cascade node exposes 15 workers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Topology {
     /// Number of nodes.
     pub nodes: usize,

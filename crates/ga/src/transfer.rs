@@ -7,11 +7,11 @@
 //! (disabled by default to match the paper exactly) and a preset for the
 //! CPU↔GPU copy-engine scenario the paper mentions as future work.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Linear (latency + bandwidth) transfer-cost model with a single route per
 /// source–destination pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TransferModel {
     /// Per-message latency in seconds.
     pub latency: f64,

@@ -163,37 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_run_reports_the_first_failing_batch() {
-        // Task 5 (batch #1 of size-4 batches) exceeds the capacity: the run
-        // stops at that batch and surfaces its error, with the task id local
-        // to the batch.
-        let json = format!(
-            r#"{{
-                "tasks": [{}],
-                "capacity": 4,
-                "label": "malformed"
-            }}"#,
-            (0..12)
-                .map(|i| format!(
-                    r#"{{"name": "t{i}", "comm_time": 1000, "comp_time": 1000, "mem": {}}}"#,
-                    if i == 5 { 9 } else { 2 }
-                ))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        let inst: Instance = serde_json::from_str(&json).unwrap();
-        let err = run_heuristic_batched(&inst, Heuristic::LCMR, BatchConfig { batch_size: 4 })
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::TaskExceedsCapacity {
-                task: TaskId(1),
-                ..
-            }
-        ));
-    }
-
-    #[test]
     fn zero_batch_size_rejected() {
         let mut rng = StdRng::seed_from_u64(11);
         let inst = random_instance_decoupled_memory(&mut rng, 5, 1.5);

@@ -42,13 +42,13 @@
 use dts_core::index::CandidateIndex;
 use dts_core::prelude::*;
 use dts_core::simulate::check_permutation;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 /// Tie-break criterion applied after the minimum-CPU-idle filter. Ties
 /// left by the criterion go to the smallest task id, so the heuristics are
 /// deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SelectionCriterion {
     /// `LCMR`/`OOLCMR`: pick the task with the largest communication time.
     LargestCommunication,
@@ -73,12 +73,9 @@ pub enum SelectionCriterion {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidExecutionModel`] for an invalid `model`,
+/// Returns [`CoreError::InvalidExecutionModel`] for an invalid `model` and
 /// the [`check_permutation`] errors if `order` is not a permutation of the
-/// instance's tasks, and [`CoreError::TaskExceedsCapacity`] if a task can
-/// never fit in the instance's memory (possible only for instances that
-/// bypassed [`Instance::new`] validation, e.g. deserialized ones) — such a
-/// task would otherwise stall the loop forever.
+/// instance's tasks.
 pub fn run_decisions(
     instance: &Instance,
     order: Option<&[TaskId]>,
@@ -89,7 +86,6 @@ pub fn run_decisions(
     if let Some(order) = order {
         check_permutation(instance, order)?;
     }
-    instance.check_tasks_fit()?;
     let mut state = EngineState::with_model(instance, model);
     // Remaining tasks, indexed by memory footprint: each decision is
     // resolved with O(log n) threshold queries instead of scanning every
@@ -124,8 +120,8 @@ pub fn run_decisions(
             None => {
                 // No remaining task fits: leave the link idle until the next
                 // memory release. A release always exists here, otherwise
-                // the memory would be empty and every task would fit
-                // (oversized tasks were rejected above).
+                // the memory would be empty and every task would fit (an
+                // `Instance` holds no task larger than its capacity).
                 now = state.next_release_after(now).ok_or_else(|| {
                     CoreError::Internal("no task fits yet no memory is held".into())
                 })?;

@@ -30,7 +30,7 @@ pub mod static_order;
 
 use dts_core::prelude::*;
 use dts_flowshop::johnson::johnson_order;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 pub use batch::{run_heuristic_batched, BatchConfig};
@@ -38,7 +38,7 @@ pub use engine::{run_decisions, SelectionCriterion};
 
 /// The category of a heuristic, used by the "best variant of each category"
 /// experiments (Figs. 10, 12 and 13 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum HeuristicCategory {
     /// The arbitrary submission order, plotted separately in the paper.
     SubmissionOrder,
@@ -75,7 +75,7 @@ impl fmt::Display for HeuristicCategory {
 ///
 /// The MILP-based `lp.k` heuristics live in the `dts-milp` crate since they
 /// need the branch-and-bound solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 #[allow(clippy::upper_case_acronyms)]
 pub enum Heuristic {
     /// Order of submission: the arbitrary order in which tasks are given.

@@ -16,7 +16,6 @@
 
 use dts_core::memory::MemoryProfile;
 use dts_core::prelude::*;
-use dts_core::testgen;
 use dts_heuristics::{
     run_decisions, run_heuristic, run_heuristic_with, Heuristic, SelectionCriterion,
 };
@@ -31,7 +30,7 @@ const SELECTIONS: [SelectionCriterion; 3] = [
 ];
 
 fn transfer_bound_instances(seed: u64, rounds: usize) -> Vec<Instance> {
-    let gen = testgen::transfer_bound_instance_gen(2..=18);
+    let gen = dts_testgen::transfer_bound_instance_gen(2..=18);
     let mut rng = StdRng::seed_from_u64(seed);
     (0..rounds)
         .map(|_| gen.generate(&mut rng).build())

@@ -7,8 +7,8 @@
 //! ```
 //!
 //! The scan covers the first-party `src/` trees (`crates/*/src` and the
-//! facade's `src/`); `vendor/`, `tests/`, `benches/` and `examples/`
-//! are out of scope. See [`rules`] for the rule catalogue and
+//! facade's `src/`); `vendor/`, `perfbench/`, `tests/`, `benches/` and
+//! `examples/` are out of scope. See [`rules`] for the rule catalogue and
 //! [`baseline`] for the ratchet semantics.
 
 mod baseline;
@@ -179,34 +179,25 @@ fn describe(v: &Violation) -> String {
     format!("{}:{} [{}] {}", v.file, v.line, v.rule, v.message)
 }
 
-/// First-party Rust sources: every `.rs` under a `src/` directory,
-/// excluding `vendor/`, `target/` and VCS metadata. Integration tests,
-/// benches and examples live outside `src/` and are therefore out of
-/// scope by construction.
+/// First-party Rust sources: every `.rs` under the facade's `src/` and
+/// under `crates/*/src`. Everything else — `vendor/`, the standalone
+/// `perfbench/` package, integration tests, benches and examples — lies
+/// outside those trees and is out of scope by construction.
 fn source_files(root: &Path) -> Vec<PathBuf> {
+    let mut stack = vec![root.join("src")];
+    if let Ok(crates) = std::fs::read_dir(root.join("crates")) {
+        stack.extend(crates.flatten().map(|krate| krate.path().join("src")));
+    }
     let mut out = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
-        let entries = match std::fs::read_dir(&dir) {
-            Ok(e) => e,
-            Err(_) => continue,
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
         };
         for entry in entries.flatten() {
             let path = entry.path();
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
             if path.is_dir() {
-                if matches!(
-                    name.as_ref(),
-                    "vendor" | "target" | ".git" | "tests" | "benches" | "examples"
-                ) {
-                    continue;
-                }
                 stack.push(path);
-            } else if name.ends_with(".rs") && {
-                let rel = relative(root, &path);
-                rel.starts_with("src/") || rel.contains("/src/")
-            } {
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
                 out.push(path);
             }
         }
@@ -235,4 +226,41 @@ fn deterministic_path(rel: &str) -> bool {
 /// into the instance, not re-derive them from raw task fields.
 fn decision_path(rel: &str) -> bool {
     rel.starts_with("crates/heuristics/src/")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_the_facade_and_crate_source_trees_are_scanned() {
+        let root = std::env::temp_dir().join(format!("dts-lint-scope-{}", std::process::id()));
+        let files = [
+            "src/lib.rs",
+            "crates/a/src/lib.rs",
+            "crates/a/src/nested/mod.rs",
+            "crates/a/tests/suite.rs",
+            "crates/a/benches/bench.rs",
+            "perfbench/src/main.rs",
+            "vendor/serde/src/lib.rs",
+        ];
+        for file in files {
+            let path = root.join(file);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, "").unwrap();
+        }
+        let scanned: Vec<String> = source_files(&root)
+            .iter()
+            .map(|path| relative(&root, path))
+            .collect();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(
+            scanned,
+            [
+                "crates/a/src/lib.rs",
+                "crates/a/src/nested/mod.rs",
+                "src/lib.rs"
+            ]
+        );
+    }
 }

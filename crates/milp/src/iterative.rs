@@ -7,7 +7,6 @@
 //! fixing the events of tasks that started before the window boundary).
 
 use crate::window::{solve_window, WindowState, MAX_WINDOW_TASKS};
-use dts_core::pool::run_indexed_pool;
 use dts_core::prelude::*;
 
 /// Configuration of the `lp.k` heuristic.
@@ -48,9 +47,8 @@ impl Default for LpKConfig {
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidExecutionModel`] for an instance carrying
-/// any other execution model, [`CoreError::Infeasible`] for a window size
-/// outside `1..=8`, and [`CoreError::TaskExceedsCapacity`] for a task that
-/// can never fit in memory.
+/// any other execution model and [`CoreError::Infeasible`] for a window
+/// size outside `1..=8`.
 pub fn lp_k(instance: &Instance, config: LpKConfig) -> Result<Schedule> {
     if !instance.model().is_explicit() {
         return Err(CoreError::InvalidExecutionModel(format!(
@@ -80,19 +78,10 @@ pub fn lp_k(instance: &Instance, config: LpKConfig) -> Result<Schedule> {
     Ok(schedule)
 }
 
-/// Instance size at or above which [`lp_k_sweep`] solves its window sizes on
-/// separate threads. The window sizes are independent solves over the same
-/// instance, so they parallelize perfectly; below this many tasks a whole
-/// sweep takes well under the cost of spawning threads.
-pub const PARALLEL_SWEEP_MIN_TASKS: usize = 16;
-
 /// Runs `lp.k` for every window size of Fig. 7 and returns the
 /// `(k, makespan)` pairs, in the order of
-/// [`LpKConfig::PAPER_WINDOW_SIZES`]. Each window size is an independent
-/// `lp.k` solve, so on instances of at least [`PARALLEL_SWEEP_MIN_TASKS`]
-/// tasks the sizes are solved on scoped threads; results (and the reported
-/// error, if any: the one for the earliest failing size) are identical to
-/// solving the sizes one by one.
+/// [`LpKConfig::PAPER_WINDOW_SIZES`], or the error of the first size that
+/// fails.
 ///
 /// ```
 /// use dts_core::instances::table3;
@@ -101,19 +90,15 @@ pub const PARALLEL_SWEEP_MIN_TASKS: usize = 16;
 /// assert_eq!(sweep[0].0, 3); // lp.3 first
 /// ```
 pub fn lp_k_sweep(instance: &Instance) -> Result<Vec<(usize, Time)>> {
-    let sizes = LpKConfig::PAPER_WINDOW_SIZES;
-    let threads = if instance.len() < PARALLEL_SWEEP_MIN_TASKS {
-        1
-    } else {
-        sizes
-            .len()
-            .min(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    };
-    run_indexed_pool(sizes.len(), threads, |index| {
-        let k = sizes[index];
-        let schedule = lp_k(instance, LpKConfig { window: k })?;
-        Ok((k, schedule.makespan(instance)))
-    })
+    LpKConfig::PAPER_WINDOW_SIZES
+        .iter()
+        .map(|&k| {
+            Ok((
+                k,
+                lp_k(instance, LpKConfig { window: k })?.makespan(instance),
+            ))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -124,29 +109,6 @@ mod tests {
     use dts_flowshop::johnson::johnson_makespan;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn oversized_task_returns_error_instead_of_panicking() {
-        // Construction rejects oversized tasks, but a deserialized instance
-        // bypasses it; the window solver must report it as a typed error.
-        let json = r#"{
-            "tasks": [
-                {"name": "ok", "comm_time": 1000, "comp_time": 1000, "mem": 2},
-                {"name": "huge", "comm_time": 2000, "comp_time": 1000, "mem": 9}
-            ],
-            "capacity": 4,
-            "label": "malformed"
-        }"#;
-        let inst: Instance = serde_json::from_str(json).unwrap();
-        let err = lp_k(&inst, LpKConfig::default()).unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::TaskExceedsCapacity {
-                task: dts_core::TaskId(1),
-                ..
-            }
-        ));
-    }
 
     #[test]
     fn lp_k_produces_feasible_complete_schedules() {

@@ -53,7 +53,9 @@ pub(crate) const MAX_WINDOW_TASKS: usize = 8;
 /// # Errors
 ///
 /// Returns [`CoreError::TaskExceedsCapacity`] for a task that can never
-/// fit in memory, however many releases it waits for.
+/// fit in memory, however many releases it waits for. An [`Instance`]
+/// holds no such task, so this stands in for a panic, not for an input
+/// error.
 pub(crate) fn simulate_window(
     instance: &Instance,
     state: &WindowState,
@@ -125,9 +127,8 @@ pub(crate) fn simulate_window(
 /// # Errors
 ///
 /// Returns [`CoreError::Infeasible`] for an empty window or one of more
-/// than 8 tasks, [`CoreError::UnknownTask`] for an id outside the
-/// instance, and [`CoreError::TaskExceedsCapacity`] for a task
-/// larger than the memory capacity.
+/// than 8 tasks and [`CoreError::UnknownTask`] for an id outside the
+/// instance.
 pub fn solve_window(
     instance: &Instance,
     state: &WindowState,
@@ -260,28 +261,6 @@ mod tests {
         assert_eq!(
             solve_window(&inst, &WindowState::default(), &[TaskId(0), TaskId(7)]).unwrap_err(),
             CoreError::UnknownTask(TaskId(7))
-        );
-    }
-
-    #[test]
-    fn task_larger_than_capacity_rejected() {
-        // Construction rejects oversized tasks, but a deserialized instance
-        // bypasses it.
-        let json = r#"{
-            "tasks": [
-                {"name": "ok", "comm_time": 1000, "comp_time": 1000, "mem": 2},
-                {"name": "huge", "comm_time": 2000, "comp_time": 1000, "mem": 9}
-            ],
-            "capacity": 4,
-            "label": "malformed"
-        }"#;
-        let inst: Instance = serde_json::from_str(json).unwrap();
-        assert_eq!(
-            solve_window(&inst, &WindowState::default(), &inst.task_ids()).unwrap_err(),
-            CoreError::TaskExceedsCapacity {
-                task: TaskId(1),
-                name: "huge".into(),
-            }
         );
     }
 }

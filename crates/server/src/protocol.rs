@@ -475,7 +475,6 @@ pub fn request_to_value(req: &SolveRequest) -> Value {
 mod tests {
     use super::*;
     use dts_core::perfmodel::{ComputeBackend, LinearFit, LinkClass, RegressionModel};
-    use serde::Deserialize;
 
     fn sample_cost_model() -> CostModelSpec {
         let fit = |alpha_us| LinearFit {
@@ -726,8 +725,11 @@ mod tests {
         let reply = ErrorReply::new(ErrorCode::QueueFull, "busy");
         let json = reply.to_json();
         let value: Value = serde_json::from_str(&json).unwrap();
-        let status: String = Deserialize::from_value(value.field("status").unwrap()).unwrap();
-        let code: String = Deserialize::from_value(value.field("code").unwrap()).unwrap();
-        assert_eq!((status.as_str(), code.as_str()), ("error", "queue-full"));
+        let at = At::Root("reply", |msg: String| msg);
+        let [status, code, message] =
+            doc::keyed(&value, &["status", "code", "message"], at).unwrap();
+        assert_eq!(doc::string(status, "status", at), Ok("error"));
+        assert_eq!(doc::string(code, "code", at), Ok("queue-full"));
+        assert_eq!(doc::string(message, "message", at), Ok("busy"));
     }
 }

@@ -7,9 +7,10 @@
 //! 64 concurrent in-flight requests.
 
 use dts_chem::{Trace, TraceTask};
+use dts_core::doc::{self, At};
 use dts_server::{Client, Server, ServerConfig, ServerHandle, SolveRequest, TraceSource};
 use dts_workloads::{GeneratorConfig, WorkloadFamily};
-use serde::{Deserialize, Value};
+use serde::Value;
 
 fn start(config: ServerConfig) -> ServerHandle {
     Server::start(config).expect("bind server")
@@ -33,19 +34,83 @@ fn family_request(seed: u64) -> SolveRequest {
     .expect("valid request")
 }
 
-fn status_of(response: &Value) -> String {
-    String::from_value(response.field("status").expect("status field")).expect("status string")
+/// A reply envelope, read with the strict document reader: an `ok` reply
+/// has exactly `status`, `cached`, `digest` and `result`, an error reply
+/// exactly `status`, `code` and `message`.
+enum Reply<'v> {
+    Ok { digest: &'v str, result: &'v Value },
+    Error { code: &'v str, message: &'v str },
 }
 
-fn code_of(response: &Value) -> String {
-    String::from_value(response.field("code").expect("code field")).expect("code string")
+fn reply(response: &Value) -> Reply<'_> {
+    let at = At::Root("reply", |msg: String| msg);
+    let read = || -> Result<Reply<'_>, String> {
+        if matches!(response.field("status"), Ok(Value::Str(s)) if s == "ok") {
+            let [_, cached, digest, result] =
+                doc::keyed(response, &["status", "cached", "digest", "result"], at)?;
+            doc::boolean(cached, "cached", at)?;
+            doc::object(result, "result", at)?;
+            return Ok(Reply::Ok {
+                digest: doc::string(digest, "digest", at)?,
+                result: result.unwrap_or(&Value::Null),
+            });
+        }
+        let [status, code, message] = doc::keyed(response, &["status", "code", "message"], at)?;
+        assert_eq!(doc::string(status, "status", at)?, "error");
+        Ok(Reply::Error {
+            code: doc::string(code, "code", at)?,
+            message: doc::string(message, "message", at)?,
+        })
+    };
+    read().unwrap_or_else(|e| panic!("malformed reply ({e}): {response:?}"))
+}
+
+fn status_of(response: &Value) -> &'static str {
+    match reply(response) {
+        Reply::Ok { .. } => "ok",
+        Reply::Error { .. } => "error",
+    }
+}
+
+fn message_of(response: &Value) -> &str {
+    match reply(response) {
+        Reply::Error { message, .. } => message,
+        Reply::Ok { .. } => panic!("expected an error reply: {response:?}"),
+    }
+}
+
+fn digest_of(response: &Value) -> &str {
+    match reply(response) {
+        Reply::Ok { digest, .. } => digest,
+        Reply::Error { .. } => panic!("expected an ok reply: {response:?}"),
+    }
+}
+
+/// A non-negative integer of an `ok` reply's `result`.
+fn result_uint(response: &Value, key: &str) -> u64 {
+    let Reply::Ok { result, .. } = reply(response) else {
+        panic!("expected an ok reply: {response:?}");
+    };
+    let keys = [
+        "heuristic",
+        "model",
+        "n_tasks",
+        "makespan_us",
+        "comm_idle_us",
+        "comp_idle_us",
+        "schedule",
+    ];
+    let at = At::Root("result", |msg: String| msg);
+    let slots = doc::keyed(result, &keys, at).unwrap();
+    let slot = keys.iter().position(|k| *k == key).expect("a result key");
+    doc::uint(slots[slot], key, at).unwrap()
 }
 
 fn assert_error(response: &Value, code: &str) {
-    assert_eq!(status_of(response), "error", "expected error: {response:?}");
-    assert_eq!(code_of(response), code, "wrong code: {response:?}");
-    let message =
-        String::from_value(response.field("message").expect("message field")).expect("message");
+    let Reply::Error { code: got, message } = reply(response) else {
+        panic!("expected error: {response:?}");
+    };
+    assert_eq!(got, code, "wrong code: {response:?}");
     assert!(!message.is_empty(), "error replies carry a message");
 }
 
@@ -169,7 +234,7 @@ fn solve_failures_map_to_typed_codes() {
         .unwrap();
     let response = serde_json::from_str(&raw).unwrap();
     assert_error(&response, "bad-request");
-    let message = String::from_value(response.field("message").unwrap()).unwrap();
+    let message = message_of(&response);
     assert!(message.contains("unknown key `facotr`"), "{message}");
     let response = client.send_request(&family_request(5)).unwrap();
     assert_eq!(status_of(&response), "ok");
@@ -202,7 +267,7 @@ fn inline_traces_with_a_duplicate_task_name_are_rejected_and_the_connection_surv
         })
         .unwrap();
     assert_error(&response, "invalid-trace");
-    let message = String::from_value(response.field("message").unwrap()).unwrap();
+    let message = message_of(&response);
     assert!(message.contains("duplicate task name `t1`"), "{message}");
 
     // The same connection keeps serving.
@@ -285,11 +350,8 @@ fn cache_hits_return_byte_identical_responses_without_resolving() {
 
     // The solved result is structurally sane.
     let response: Value = serde_json::from_str(&cold).unwrap();
-    let result = response.field("result").unwrap();
-    let n_tasks: u64 = Deserialize::from_value(result.field("n_tasks").unwrap()).unwrap();
-    let makespan: u64 = Deserialize::from_value(result.field("makespan_us").unwrap()).unwrap();
-    assert_eq!(n_tasks, 12);
-    assert!(makespan > 0);
+    assert_eq!(result_uint(&response, "n_tasks"), 12);
+    assert!(result_uint(&response, "makespan_us") > 0);
     handle.shutdown();
 }
 
@@ -312,9 +374,11 @@ fn inline_and_family_requests_of_the_same_instance_have_distinct_digests() {
     let b = client.send_request(&other_factor).unwrap();
     assert_eq!(status_of(&a), "ok");
     assert_eq!(status_of(&b), "ok");
-    let da: String = Deserialize::from_value(a.field("digest").unwrap()).unwrap();
-    let db: String = Deserialize::from_value(b.field("digest").unwrap()).unwrap();
-    assert_ne!(da, db, "factor is part of the cache key");
+    assert_ne!(
+        digest_of(&a),
+        digest_of(&b),
+        "factor is part of the cache key"
+    );
     handle.shutdown();
 }
 

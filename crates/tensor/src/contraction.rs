@@ -7,10 +7,10 @@
 //! extents `(m, n, k)`.
 
 use crate::tile::{Tile, TileShape};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A contraction `C[m, n] += Σ_k A[m, k] · B[k, n]` between two tiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ContractionSpec {
     /// Combined extent of the free indices of `A` (rows of the result).
     pub m: usize,

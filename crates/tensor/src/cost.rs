@@ -11,11 +11,11 @@
 
 use crate::contraction::ContractionSpec;
 use crate::tile::TileShape;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Cost of executing a kernel: flops performed and bytes touched in local
 /// memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct KernelCost {
     /// Floating-point operations.
     pub flops: u64,
@@ -51,7 +51,7 @@ impl KernelCost {
 }
 
 /// Roofline-style execution-time model for one core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CostModel {
     /// Sustained floating-point rate in flop/s.
     pub flops_per_second: f64,

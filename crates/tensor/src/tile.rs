@@ -2,13 +2,13 @@
 
 use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Shape of a tile: up to four dimensions (HF works with 2-index tiles of
 /// the Fock/density matrices, CCSD with 4-index amplitude/integral tiles).
 /// Unused trailing dimensions are 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct TileShape {
     /// Extent of each of the four dimensions (1 for unused dimensions).
     pub dims: [usize; 4],
@@ -68,7 +68,7 @@ impl fmt::Display for TileShape {
 }
 
 /// A dense tile of `f64` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tile {
     shape: TileShape,
     data: Vec<f64>,

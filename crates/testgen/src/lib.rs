@@ -1,19 +1,23 @@
-//! [`microcheck`] generators for the core domain types.
+//! # dts_testgen — [`microcheck`] generators for the core domain types
 //!
 //! Property tests across the workspace draw task lists and whole instances
-//! from these generators instead of hand-rolling seeded loops. Shrinking
-//! follows the shape of the domain: task lists **halve their task count**
+//! from these generators instead of hand-rolling seeded loops. The crate is
+//! only ever a dev-dependency: no production binary links it (or
+//! `microcheck`). The tie-heavy, memory-cliff and transfer-bound domains
+//! are the [`TaskDomain`]s the corpus families of the same names generate
+//! from.
+//!
+//! Shrinking follows the shape of the domain: task lists **halve their task count**
 //! before removing single tasks, and the per-task communication,
 //! computation and memory values shrink toward the low end of their ranges
 //! (memory conventionally toward 1), so a failing schedule-level property
 //! minimizes to a near-trivial instance whose defect is readable by eye.
 //!
 //! ```
-//! use dts_core::testgen;
-//! use microcheck::{Config, Gen};
+//! use microcheck::Gen;
 //! use rand::prelude::*;
 //!
-//! let gen = testgen::instance_gen(1..=20);
+//! let gen = dts_testgen::instance_gen(1..=20);
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let spec = gen.generate(&mut rng);
 //! let instance = spec.build();
@@ -22,10 +26,8 @@
 //! assert!(instance.tasks().iter().all(|t| t.mem <= instance.capacity()));
 //! ```
 
-use crate::instance::{Instance, InstanceBuilder};
-use crate::memory::MemSize;
-use crate::task::Task;
-use crate::time::Time;
+use dts_core::prelude::{Instance, InstanceBuilder, MemSize, Task, Time};
+use dts_workloads::families::TaskDomain;
 use microcheck::gens::{self, IntRange, VecOf};
 use microcheck::Gen;
 use rand::prelude::*;
@@ -85,20 +87,25 @@ pub fn small_task_gen() -> TaskGen {
     task_gen(0..=30, 0..=30, 1..=16)
 }
 
-/// A tie-heavy task domain: tiny value ranges force many equal
-/// communication times, ratios and memory footprints, the cases where
-/// id-based tie-breaking is all that separates candidates.
-pub fn tie_heavy_task_gen() -> TaskGen {
-    task_gen(0..=2, 0..=2, 0..=4)
+/// Tasks drawn from one of the corpus's adversarial [`TaskDomain`]s.
+fn domain_task_gen(domain: TaskDomain) -> TaskGen {
+    task_gen(domain.comm, domain.comp, domain.mem)
 }
 
-/// A transfer-bound task domain: communication dominates computation, so
-/// under the explicit model the link is the bottleneck and the overlap
-/// models (duplex, streams) genuinely reshape the timeline — and, through
-/// earlier releases, the decisions of the dynamic heuristics. The
-/// adversarial domain of the execution-model properties.
+/// The [`TaskDomain::TIE_HEAVY`] domain: tiny value ranges force many
+/// equal communication times, ratios and memory footprints, the cases
+/// where id-based tie-breaking is all that separates candidates.
+pub fn tie_heavy_task_gen() -> TaskGen {
+    domain_task_gen(TaskDomain::TIE_HEAVY)
+}
+
+/// The [`TaskDomain::TRANSFER_BOUND`] domain: communication dominates
+/// computation, so under the explicit model the link is the bottleneck
+/// and the overlap models (duplex, streams) genuinely reshape the
+/// timeline — and, through earlier releases, the decisions of the dynamic
+/// heuristics. The adversarial domain of the execution-model properties.
 pub fn transfer_bound_task_gen() -> TaskGen {
-    task_gen(8..=30, 0..=6, 1..=16)
+    domain_task_gen(TaskDomain::TRANSFER_BOUND)
 }
 
 /// Transfer-bound *and* tie-heavy: communication still dominates but is
@@ -108,14 +115,14 @@ pub fn transfer_bound_tie_heavy_task_gen() -> TaskGen {
     task_gen(3..=5, 0..=1, 1..=3)
 }
 
-/// A memory-cliff task domain: every task needs more than half of the
-/// largest task's memory, so with tight capacity slack (see
+/// The [`TaskDomain::MEMORY_CLIFF`] domain: every task needs more than
+/// half of the largest task's memory, so with tight capacity slack (see
 /// [`memory_cliff_instance_gen`]) almost no two tasks coexist in memory —
 /// the schedule degenerates to near-sequential execution punctuated by
 /// memory-blocked decisions, the regime where the candidate index's
 /// memory filtering does all the work.
 pub fn memory_cliff_task_gen() -> TaskGen {
-    task_gen(0..=30, 0..=30, 8..=16)
+    domain_task_gen(TaskDomain::MEMORY_CLIFF)
 }
 
 /// Instances from the [`memory_cliff_task_gen`] domain with at most one

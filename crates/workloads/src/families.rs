@@ -12,11 +12,12 @@
 //!   XE performance-model regime): few tasks, Zipf-skewed computation
 //!   times, memory footprints near the machine capacity.
 //! * [`WorkloadFamily::TieHeavy`], [`WorkloadFamily::MemoryCliff`],
-//!   [`WorkloadFamily::TransferBound`] — the adversarial domains promoted
-//!   from [`dts_core::testgen`]: the property-test generators that stress
-//!   id tie-breaking, memory-blocked decisions and link contention now
-//!   also emit full [`Trace`]s so the scenario suite and the CLI can run
-//!   them like any other workload.
+//!   [`WorkloadFamily::TransferBound`] — the adversarial [`TaskDomain`]s
+//!   that stress id tie-breaking, memory-blocked decisions and link
+//!   contention. They are defined here once: the property tests'
+//!   shrinkable generators (the dev-only `dts_testgen` crate) draw from
+//!   the same domains, and the families emit them as full [`Trace`]s so
+//!   the scenario suite and the CLI can run them like any other workload.
 //!
 //! Every family is seeded and parameterized: the same
 //! [`GeneratorConfig`] and rank always produce a byte-identical trace
@@ -27,10 +28,9 @@
 use dts_chem::trace::{TaskKind, MAX_TASKS};
 use dts_chem::{Trace, TraceTask};
 use dts_core::prelude::*;
-use dts_core::testgen;
-use microcheck::Gen;
 use rand::prelude::*;
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// Default Zipf exponent of the dense-LA family (`comp_i ∝ (i+1)^-s`).
 pub const DEFAULT_DENSE_LA_SKEW: f64 = 1.2;
@@ -43,17 +43,16 @@ pub enum WorkloadFamily {
     /// Dense-linear-algebra panels: few tasks, Zipf-skewed computation,
     /// memory footprints near capacity.
     DenseLa,
-    /// Tie-heavy adversarial domain (promoted from
-    /// [`testgen::tie_heavy_task_gen`]): tiny value ranges force equal
-    /// communication times, ratios and footprints everywhere.
+    /// Tie-heavy adversarial domain ([`TaskDomain::TIE_HEAVY`]): tiny
+    /// value ranges force equal communication times, ratios and footprints
+    /// everywhere.
     TieHeavy,
-    /// Memory-cliff adversarial domain (promoted from
-    /// [`testgen::memory_cliff_task_gen`]): almost no two tasks coexist in
-    /// memory.
+    /// Memory-cliff adversarial domain ([`TaskDomain::MEMORY_CLIFF`]):
+    /// almost no two tasks coexist in memory.
     MemoryCliff,
-    /// Transfer-bound adversarial domain (promoted from
-    /// [`testgen::transfer_bound_task_gen`]): communication dominates, the
-    /// link is the bottleneck.
+    /// Transfer-bound adversarial domain
+    /// ([`TaskDomain::TRANSFER_BOUND`]): communication dominates, the link
+    /// is the bottleneck.
     TransferBound,
 }
 
@@ -100,13 +99,13 @@ impl WorkloadFamily {
                 "few tasks, Zipf-skewed computation, memory footprints near capacity"
             }
             WorkloadFamily::TieHeavy => {
-                "adversarial: tiny value ranges force ties everywhere (from testgen)"
+                "adversarial: tiny value ranges force ties everywhere (property-test domain)"
             }
             WorkloadFamily::MemoryCliff => {
-                "adversarial: almost no two tasks coexist in memory (from testgen)"
+                "adversarial: almost no two tasks coexist in memory (property-test domain)"
             }
             WorkloadFamily::TransferBound => {
-                "adversarial: communication dominates, the link is the bottleneck (from testgen)"
+                "adversarial: communication dominates, the link is the bottleneck (property-test domain)"
             }
         }
     }
@@ -235,24 +234,15 @@ pub fn generate_trace(config: &GeneratorConfig, rank: usize) -> Result<Trace> {
             config.skew.unwrap_or(DEFAULT_DENSE_LA_SKEW),
             &mut rng,
         ),
-        WorkloadFamily::TieHeavy => promoted_tasks(
-            testgen::tie_heavy_task_gen(),
-            "tie",
-            config.n_tasks,
-            &mut rng,
-        ),
-        WorkloadFamily::MemoryCliff => promoted_tasks(
-            testgen::memory_cliff_task_gen(),
-            "cliff",
-            config.n_tasks,
-            &mut rng,
-        ),
-        WorkloadFamily::TransferBound => promoted_tasks(
-            testgen::transfer_bound_task_gen(),
-            "xfer",
-            config.n_tasks,
-            &mut rng,
-        ),
+        WorkloadFamily::TieHeavy => {
+            promoted_tasks(TaskDomain::TIE_HEAVY, "tie", config.n_tasks, &mut rng)
+        }
+        WorkloadFamily::MemoryCliff => {
+            promoted_tasks(TaskDomain::MEMORY_CLIFF, "cliff", config.n_tasks, &mut rng)
+        }
+        WorkloadFamily::TransferBound => {
+            promoted_tasks(TaskDomain::TRANSFER_BOUND, "xfer", config.n_tasks, &mut rng)
+        }
     };
     if let Some(bandwidth) = config.bandwidth {
         // The extra rng draws happen only on this opt-in path, so default
@@ -433,27 +423,69 @@ fn zipf_weight_scaled(base: u64, rank: u64, skew_q32: u64) -> u64 {
     (num / d) as u64
 }
 
-/// Ticks per abstract [`testgen`] unit when a property-test domain is
+/// Ticks per abstract domain unit when a property-test domain is
 /// promoted to a trace: [`Time::units_int`] uses 1000 ticks per unit and
 /// traces store microseconds (1 tick = 1 µs), so a promoted trace builds
 /// the exact instance the property tests would.
 pub const PROMOTED_MICROS_PER_UNIT: u64 = Time::TICKS_PER_UNIT;
 
-fn promoted_tasks(
-    gen: testgen::TaskGen,
-    prefix: &str,
-    n: usize,
-    rng: &mut StdRng,
-) -> Vec<TraceTask> {
+/// A task domain shared by a promoted family and the property tests:
+/// inclusive ranges of communication and computation time, in whole
+/// units of [`PROMOTED_MICROS_PER_UNIT`] µs, and of memory, in bytes.
+#[derive(Debug, Clone)]
+pub struct TaskDomain {
+    /// Communication time, whole units.
+    pub comm: RangeInclusive<u64>,
+    /// Computation time, whole units.
+    pub comp: RangeInclusive<u64>,
+    /// Memory requirement, bytes.
+    pub mem: RangeInclusive<u64>,
+}
+
+impl TaskDomain {
+    /// Tiny value ranges force many equal communication times, ratios and
+    /// memory footprints: the cases where id-based tie-breaking is all
+    /// that separates candidates.
+    pub const TIE_HEAVY: TaskDomain = TaskDomain {
+        comm: 0..=2,
+        comp: 0..=2,
+        mem: 0..=4,
+    };
+
+    /// Every task needs more than half of the largest task's memory, so
+    /// with tight capacity slack almost no two tasks coexist in memory:
+    /// the schedule degenerates to near-sequential execution punctuated by
+    /// memory-blocked decisions.
+    pub const MEMORY_CLIFF: TaskDomain = TaskDomain {
+        comm: 0..=30,
+        comp: 0..=30,
+        mem: 8..=16,
+    };
+
+    /// Communication dominates computation, so under the explicit model
+    /// the link is the bottleneck and the overlap models (duplex, streams)
+    /// reshape the timeline.
+    pub const TRANSFER_BOUND: TaskDomain = TaskDomain {
+        comm: 8..=30,
+        comp: 0..=6,
+        mem: 1..=16,
+    };
+}
+
+fn promoted_tasks(domain: TaskDomain, prefix: &str, n: usize, rng: &mut StdRng) -> Vec<TraceTask> {
     (0..n)
         .map(|i| {
-            let spec = gen.generate(rng);
+            // One uniform draw per field, in comm, comp, mem order: the
+            // golden corpus pins this stream.
+            let comm = rng.gen_range(domain.comm.clone());
+            let comp = rng.gen_range(domain.comp.clone());
+            let mem = rng.gen_range(domain.mem.clone());
             TraceTask {
                 name: format!("{prefix}({i})"),
                 kind: TaskKind::Contraction,
-                comm_micros: spec.comm * PROMOTED_MICROS_PER_UNIT,
-                comp_micros: spec.comp * PROMOTED_MICROS_PER_UNIT,
-                mem_bytes: spec.mem,
+                comm_micros: comm * PROMOTED_MICROS_PER_UNIT,
+                comp_micros: comp * PROMOTED_MICROS_PER_UNIT,
+                mem_bytes: mem,
             }
         })
         .collect()

@@ -8,9 +8,9 @@
 //! * [`families`] — seeded, parameterized generators for MD-like traces
 //!   (thousands of near-uniform small tasks), dense-LA-like traces (few
 //!   tasks, Zipf-skewed computation, memory near capacity) and the
-//!   adversarial domains promoted from `dts_core::testgen` (tie-heavy,
-//!   memory-cliff, transfer-bound). Same config + rank → byte-identical
-//!   trace, always.
+//!   adversarial task domains the property tests also draw from
+//!   (tie-heavy, memory-cliff, transfer-bound). Same config + rank →
+//!   byte-identical trace, always.
 //! * [`corpus`] — the golden-metric scenario suite: every heuristic ×
 //!   every execution model over one fixed scenario per family, compared
 //!   against a committed golden file with a two-way ratchet
